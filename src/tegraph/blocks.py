@@ -25,11 +25,11 @@ from .tensor import (
     constant,
     matmul,
     mul,
-    pad_axis,
     permute,
     relu,
     reshape,
     slice_axis,
+    temporal_conv,
 )
 
 
@@ -139,17 +139,7 @@ def tc_forward(block: TCBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         raise ShapeError(
             f"{block.identifier}: expected ({block.channels}, T, J), got {f.shape}"
         )
-    c, frames, joints = f.shape
-    out_frames = tc_output_length(frames, block.stride)
-    padded = pad_axis(f, 1, block.pad, block.pad)
-    out = None
-    for k in range(block.kernel_t):
-        # Tap k of every sliding window, all output positions at once.
-        stop = k + (out_frames - 1) * block.stride + 1
-        tap = slice_axis(padded, 1, k, stop, block.stride)
-        w_k = reshape(slice_axis(block.kernel.value, 2, k, k + 1), (c, c))
-        term = _channel_map(w_k, tap)
-        out = term if out is None else add(out, term)
+    out = temporal_conv(f, block.kernel.value, block.stride, block.pad)
     if apply_bn_relu:
         out = relu(block.bn(out))
     return out

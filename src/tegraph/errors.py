@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto process exit codes: ConfigError -> 2,
-DataError -> 3, NumericError -> 4.
+DataError -> 3 (as is an OSError from opening or writing a file),
+NumericError -> 4.
 """
 
 

@@ -44,6 +44,7 @@ from .tensor import (
     sub,
     sum_all,
     sum_axis,
+    temporal_conv,
 )
 
 
@@ -143,11 +144,6 @@ def grad_check(
 # ---------------------------------------------------------------------------
 # One check per registered op.  Each builder returns (f, wrt); inputs are
 # drawn from `rng` so repeated runs cover fresh points.
-
-
-def _weighted(out: Tensor, rng) -> tuple:
-    w = Tensor(rng.normal(size=out.shape))
-    return w
 
 
 def _check_matmul(rng):
@@ -256,6 +252,14 @@ def _check_batchnorm(rng):
     return f, [("x", x), ("gamma", gamma), ("beta", beta)]
 
 
+def _check_temporal_conv(rng):
+    x = Tensor(rng.normal(size=(3, 7, 2)))
+    kernel = Tensor(rng.normal(size=(4, 3, 3)))
+    w = Tensor(rng.normal(size=(4, 4, 2)))
+    return (lambda: sum_all(mul(temporal_conv(x, kernel, 2, 1), w))), [("x", x),
+                                                                       ("kernel", kernel)]
+
+
 OP_CHECKS = {
     "matmul": _check_matmul,
     "softmax_rows": _check_softmax_rows,
@@ -272,6 +276,7 @@ OP_CHECKS = {
     "sum_all": _check_sum_all,
     "sum_axis": _check_sum_axis,
     "batchnorm": _check_batchnorm,
+    "temporal_conv": _check_temporal_conv,
 }
 
 assert sorted(OP_CHECKS) == sorted(OP_NAMES), "op registry and check table disagree"

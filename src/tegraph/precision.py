@@ -1,9 +1,10 @@
 """Global numeric precision switch.
 
-Two modes exist: "verify" (float64, the default, used by every oracle and
-gradient check) and "train" (float32, the faster mode the trainer selects
-by default).  The switch is process-global; set it before building tensors
-or models, not in the middle of a run.
+Two modes exist: "verify" (float64, the default everywhere, the CLI
+included, and the mode every oracle and gradient check uses) and "train"
+(float32, the faster mode, selected with `--set precision=train`).  The
+switch is process-global; set it before building tensors or models, not in
+the middle of a run.
 """
 from __future__ import annotations
 

@@ -3,9 +3,12 @@
 The design is deliberately small: a Tensor wraps a numpy array in the
 process-global precision (see precision.py), operations are pure functions
 that optionally record a backward rule on the active Tape, and a Tape is a
-plain Wengert list replayed in strict reverse execution order.  There is no
+plain Wengert list replayed once and consumed in strict reverse execution
+order: each rule, and every buffer only it holds, is freed as soon as it
+has run, so a tape supports a single backward pass.  There is no
 broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
-ops so every backward rule stays auditable.
+ops so every backward rule stays auditable, and `temporal_conv` fuses the
+windowed temporal convolution into one record.
 
 Concurrency contract: tensors are never mutated by operations, so forward
 evaluation against frozen parameters is thread-safe.  A Tape is thread-local
@@ -140,13 +143,16 @@ class Tape:
 
     Backward rules are closures over the op's input/output tensors; replay
     happens in strict reverse execution order, which for a DAG guarantees an
-    output's gradient is complete before its producer's rule runs.
+    output's gradient is complete before its producer's rule runs.  Replay
+    pops each rule before running it, so the tape is empty afterwards and a
+    second backward (or a further record) raises.
     """
 
-    __slots__ = ("_records",)
+    __slots__ = ("_records", "_consumed")
 
     def __init__(self):
         self._records: list[Callable[[], None]] = []
+        self._consumed = False
 
     def __enter__(self) -> "Tape":
         _stack().append(self)
@@ -159,17 +165,24 @@ class Tape:
         return False
 
     def record(self, rule: Callable[[], None]) -> None:
+        if self._consumed:
+            raise RuntimeError("cannot record on a tape that has been replayed")
         self._records.append(rule)
 
     def __len__(self) -> int:
         return len(self._records)
 
     def backward(self, output: Tensor, seed: np.ndarray | None = None) -> None:
+        if self._consumed:
+            raise RuntimeError("tape already replayed; record a new Tape for another "
+                               "backward pass")
+        self._consumed = True
         if seed is None:
             seed = np.ones(output.shape, dtype=output.data.dtype)
         _accumulate(output, np.asarray(seed, dtype=output.data.dtype))
-        for rule in reversed(self._records):
-            rule()
+        records = self._records
+        while records:
+            records.pop()()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -200,6 +213,7 @@ OP_NAMES = [
     "sum_all",
     "sum_axis",
     "batchnorm",
+    "temporal_conv",
 ]
 
 
@@ -422,6 +436,63 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Te
             g = np.zeros_like(a.data)
             g[index] = out.grad
             _accumulate(a, g)
+
+        tape.record(rule)
+    return out
+
+
+def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
+    """(C_in, T, J) x (C_out, C_in, K) -> (C_out, T_out, J), a K x 1 convolution.
+
+    Zero padding `pad` on both ends of T, T_out = (T + 2 pad - K) // stride + 1.
+    The arithmetic is exactly that of the unfused pad/slice/matmul/add chain:
+    tap k of every window is one contiguous (C_in, T_out * J) block
+    multiplied by kernel[:, :, k], and the taps are summed in order k = 0..K-1.
+    The backward rule rebuilds the taps from `x` instead of keeping them.
+    """
+    if x.data.ndim != 3 or kernel.data.ndim != 3:
+        raise ShapeError(f"temporal_conv expects 3-D operands, got {x.shape} and {kernel.shape}")
+    c_in, frames, joints = x.shape
+    c_out, kernel_in, taps = kernel.shape
+    if kernel_in != c_in:
+        raise ShapeError(f"temporal_conv: kernel {kernel.shape} does not take {c_in} channels")
+    if stride < 1 or pad < 0:
+        raise ShapeError("temporal_conv: stride must be positive and pad non-negative")
+    out_frames = (frames + 2 * pad - taps) // stride + 1
+    if out_frames < 1:
+        raise ShapeError(f"temporal_conv: {frames} frames with pad {pad} are shorter "
+                         f"than the kernel ({taps})")
+    widths = ((0, 0), (pad, pad), (0, 0))
+    span = (out_frames - 1) * stride + 1
+
+    def tap(padded: np.ndarray, k: int) -> np.ndarray:
+        return np.ascontiguousarray(padded[:, k:k + span:stride]).reshape(c_in, -1)
+
+    def weight(k: int) -> np.ndarray:
+        return np.ascontiguousarray(kernel.data[:, :, k])
+
+    padded = np.pad(x.data, widths)
+    acc = weight(0) @ tap(padded, 0)
+    for k in range(1, taps):
+        acc += weight(k) @ tap(padded, k)
+    out = Tensor(acc.reshape(c_out, out_frames, joints))
+    _check_finite(out.data, "temporal_conv")
+    tape = active_tape()
+    if tape is not None:
+
+        def rule():
+            if out.grad is None:
+                return
+            g = out.grad.reshape(c_out, -1)
+            padded = np.pad(x.data, widths)
+            d_kernel = np.zeros_like(kernel.data)
+            d_padded = np.zeros_like(padded)
+            for k in reversed(range(taps)):
+                d_kernel[:, :, k] = g @ tap(padded, k).T
+                d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
+                    c_in, out_frames, joints)
+            _accumulate(kernel, d_kernel)
+            _accumulate(x, d_padded[:, pad:pad + frames])
 
         tape.record(rule)
     return out

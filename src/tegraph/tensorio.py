@@ -14,6 +14,7 @@ payload length.
 """
 from __future__ import annotations
 
+import io
 import struct
 from typing import BinaryIO
 
@@ -71,11 +72,18 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
     count = 1
     for dim in dims:
         count *= dim
-    payload = stream.read(count * dtype.itemsize)
-    if len(payload) != count * dtype.itemsize:
+    nbytes = count * dtype.itemsize
+    if stream.seekable():  # reject huge dims before asking read() for them
+        here = stream.tell()
+        left = stream.seek(0, io.SEEK_END) - here
+        stream.seek(here)
+        if nbytes > left:
+            raise DataError(f"truncated tensor payload: header declares {nbytes} bytes, "
+                            f"{left} remain")
+    payload = stream.read(nbytes)
+    if len(payload) != nbytes:
         raise DataError(
-            f"truncated tensor payload: expected {count * dtype.itemsize} bytes, "
-            f"got {len(payload)}"
+            f"truncated tensor payload: expected {nbytes} bytes, got {len(payload)}"
         )
     return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
 

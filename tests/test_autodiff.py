@@ -1,4 +1,6 @@
 """Tape mechanics and finite-difference verification of each backward rule."""
+import weakref
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,41 @@ def test_tape_nesting_restores_outer_tape():
         assert len(inner) == 1
     assert len(outer) == 1
     assert active_tape() is None
+
+
+def test_tape_is_consumed_by_backward():
+    x = Tensor(np.array([1.0, -2.0]))
+    with Tape() as tape:
+        loss = sum_all(mul(x, x))
+    assert len(tape) == 2
+    tape.backward(loss)
+    assert len(tape) == 0
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+    with pytest.raises(RuntimeError, match="already replayed"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * x.data)
+
+
+def test_consumed_tape_refuses_new_records():
+    x = Tensor(np.array([3.0]))
+    with Tape() as tape:
+        tape.backward(sum_all(x))
+        with pytest.raises(RuntimeError, match="replayed"):
+            mul(x, x)
+
+
+def test_backward_frees_intermediate_gradients():
+    # Once the forward returns, only the tape's rules reference the hidden
+    # product; replay must release it together with its gradient buffer.
+    x = Tensor(np.array([[1.0, 2.0]]))
+    with Tape() as tape:
+        hidden = mul(x, x)
+        loss = sum_all(hidden)
+    buffers = [weakref.ref(hidden.data)]
+    tape.backward(loss)
+    buffers.append(weakref.ref(hidden.grad))
+    del hidden
+    assert [ref() for ref in buffers] == [None, None]
 
 
 def test_parameter_gradient_accumulates_across_passes():

@@ -267,6 +267,13 @@ def test_eval_missing_manifest_is_data_error(trained_dir, tmp_path):
     assert code == 3
 
 
+def test_eval_missing_checkpoint_is_data_error(dataset_dir, tmp_path, capsys):
+    code = main(["eval", "--checkpoint", str(tmp_path / "missing.tegc"),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    assert "missing.tegc" in capsys.readouterr().err
+
+
 def test_fuse_two_streams(trained_dir, dataset_dir, capsys):
     ckpt = str(trained_dir / "checkpoint.tegc")
     code = main(["fuse", "--data", str(dataset_dir / "manifest.jsonl"),

@@ -80,6 +80,14 @@ def test_truncations_are_rejected():
             read_tensor(io.BytesIO(blob[:cut]))
 
 
+def test_oversized_dims_are_rejected_before_the_payload():
+    # 2**62 x 2**62 elements overflow an index-sized read request.
+    blob = (MAGIC + struct.pack("<B", 2) + struct.pack("<2Q", 2**62, 2**62)
+            + struct.pack("<B", 1) + b"\x00" * 64)
+    with pytest.raises(DataError, match="payload"):
+        read_tensor(io.BytesIO(blob))
+
+
 def test_unknown_element_flag_is_rejected():
     blob = MAGIC + struct.pack("<B", 1) + struct.pack("<Q", 0) + struct.pack("<B", 7)
     with pytest.raises(DataError, match="flag"):
