@@ -21,14 +21,13 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Parameter,
     Tensor,
-    add,
     constant,
     matmul,
     mul,
-    permute,
     relu,
     reshape,
     slice_axis,
+    spatial_graph_conv,
     temporal_conv,
 )
 
@@ -38,14 +37,6 @@ def _channel_map(weight: Tensor, f: Tensor) -> Tensor:
     c_in, t, j = f.shape
     flat = reshape(f, (c_in, t * j))
     return reshape(matmul(weight, flat), (weight.shape[0], t, j))
-
-
-def _joint_mix(f: Tensor, mixer: Tensor) -> Tensor:
-    """Apply a (J, J) destination-major matrix along the joint axis."""
-    c, t, j = f.shape
-    flat = reshape(f, (c * t, j))
-    mixed = matmul(flat, permute(mixer, (1, 0)))
-    return reshape(mixed, (c, t, j))
 
 
 class SGBlock:
@@ -92,11 +83,9 @@ def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         raise ShapeError(
             f"{block.identifier}: feature has {f.shape[2]} joints, graph has {joints}"
         )
-    out = None
-    for k in range(block.partitions.shape[0]):
-        gated = mul(constant(block.partitions[k]), block.masks[k].value)
-        term = _joint_mix(_channel_map(block.weights[k].value, f), gated)
-        out = term if out is None else add(out, term)
+    gated = [mul(constant(partition), mask.value)
+             for partition, mask in zip(block.partitions, block.masks)]
+    out = spatial_graph_conv(f, [w.value for w in block.weights], gated)
     if apply_bn_relu:
         out = relu(block.bn(out))
     return out

@@ -69,10 +69,19 @@ def load_checkpoint(path) -> tuple[dict, dict[tuple[str, str], np.ndarray]]:
             manifest = json.loads(blob)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: bad checkpoint manifest: {exc}")
-        if manifest.get("format") != FORMAT_NAME:
+        if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
             raise DataError(f"{path}: not a checkpoint file")
+        entries = manifest.get("entries")
+        if not isinstance(entries, list):
+            raise DataError(f"{path}: checkpoint manifest has no entries list")
+        for n, entry in enumerate(entries):
+            if not (isinstance(entry, dict) and isinstance(entry.get("id"), str)
+                    and isinstance(entry.get("kind"), str)
+                    and isinstance(entry.get("shape"), list)):
+                raise DataError(f"{path}: checkpoint entry {n} needs a string id and "
+                                "kind and a shape list")
         tensors: dict[tuple[str, str], np.ndarray] = {}
-        for entry in manifest["entries"]:
+        for entry in entries:
             arr = read_tensor(stream)
             if list(arr.shape) != entry["shape"]:
                 raise DataError(

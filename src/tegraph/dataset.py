@@ -145,6 +145,23 @@ def write_dataset(out_dir, labeled: list[tuple[SkeletonSequence, str]],
     return manifest
 
 
+MANIFEST_FIELDS = ("split", "label", "sample_id", "files")
+
+
+def _check_record(record, where: str) -> None:
+    if not isinstance(record, dict):
+        raise DataError(f"{where}: manifest line is not a JSON object")
+    missing = [name for name in MANIFEST_FIELDS if name not in record]
+    if missing:
+        raise DataError(f"{where}: manifest line lacks {', '.join(missing)}")
+    label = record["label"]
+    if isinstance(label, bool) or not isinstance(label, int):
+        raise DataError(f"{where}: label {label!r} is not an integer")
+    files = record["files"]
+    if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
+        raise DataError(f"{where}: files must map stream kinds to paths")
+
+
 def read_manifest(manifest_path) -> list[dict]:
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
@@ -154,9 +171,11 @@ def read_manifest(manifest_path) -> list[dict]:
         if not line.strip():
             continue
         try:
-            records.append(json.loads(line))
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise DataError(f"{manifest_path}: line {i}: bad JSON: {exc}")
+        _check_record(record, f"{manifest_path}: line {i}")
+        records.append(record)
     if not records:
         raise DataError(f"{manifest_path}: empty manifest")
     return records

@@ -41,10 +41,12 @@ from .tensor import (
     slice_axis,
     softmax_rows,
     log_softmax_rows,
+    spatial_graph_conv,
     sub,
     sum_all,
     sum_axis,
     temporal_conv,
+    temporal_graph_mix,
 )
 
 
@@ -260,6 +262,26 @@ def _check_temporal_conv(rng):
                                                                        ("kernel", kernel)]
 
 
+def _check_spatial_graph_conv(rng):
+    x = Tensor(rng.normal(size=(3, 4, 5)))
+    weights = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
+    adjacencies = [Tensor(rng.normal(size=(5, 5))) for _ in range(3)]
+    w = Tensor(rng.normal(size=(2, 4, 5)))
+    wrt = [("x", x), *((f"w{k}", t) for k, t in enumerate(weights)),
+           *((f"a{k}", t) for k, t in enumerate(adjacencies))]
+    return (lambda: sum_all(mul(spatial_graph_conv(x, weights, adjacencies), w))), wrt
+
+
+def _check_temporal_graph_mix(rng):
+    x = Tensor(rng.normal(size=(3, 5, 2)))
+    adjacencies = [Tensor(rng.normal(size=(5, 5))) for _ in range(2)]
+    weights = [Tensor(rng.normal(size=(3, 3))) for _ in range(2)]
+    w = Tensor(rng.normal(size=(3, 5, 2)))
+    wrt = [("x", x), *((f"a{n}", t) for n, t in enumerate(adjacencies)),
+           *((f"w{n}", t) for n, t in enumerate(weights))]
+    return (lambda: sum_all(mul(temporal_graph_mix(x, adjacencies, weights), w))), wrt
+
+
 OP_CHECKS = {
     "matmul": _check_matmul,
     "softmax_rows": _check_softmax_rows,
@@ -277,6 +299,8 @@ OP_CHECKS = {
     "sum_axis": _check_sum_axis,
     "batchnorm": _check_batchnorm,
     "temporal_conv": _check_temporal_conv,
+    "spatial_graph_conv": _check_spatial_graph_conv,
+    "temporal_graph_mix": _check_temporal_graph_mix,
 }
 
 assert sorted(OP_CHECKS) == sorted(OP_NAMES), "op registry and check table disagree"

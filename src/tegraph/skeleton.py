@@ -70,38 +70,44 @@ def parse_skeleton_file(text: str, expected_joints: int | None = None,
     lines = text.splitlines()
     pos = 0
 
-    def next_line(what: str) -> tuple[str, int]:
+    def at_end() -> bool:
         nonlocal pos
         while pos < len(lines) and not lines[pos].strip():
             pos += 1
-        if pos >= len(lines):
+        return pos >= len(lines)
+
+    def next_line(what: str) -> tuple[str, int]:
+        nonlocal pos
+        if at_end():
             raise ParseError(f"{source_id}: file ended while reading {what}")
         pos += 1
         return lines[pos - 1], pos
 
-    def read_int(what: str) -> int:
+    def read_count(what: str) -> int:
         line, lineno = next_line(what)
         token = line.split()[0]
         try:
-            return int(token)
+            count = int(token)
         except ValueError:
             raise ParseError(f"{source_id}: line {lineno}: expected integer {what}, got {token!r}")
+        if count < 0:
+            raise ParseError(f"{source_id}: line {lineno}: negative {what} {count}")
+        return count
 
-    frame_count = read_int("frame count")
+    frame_count = read_count("frame count")
     frames: list[list[Body]] = []
     locked_joints = expected_joints
     for f in range(frame_count):
-        try:
-            body_count = read_int(f"body count of frame {f}")
-        except ParseError:
+        if at_end():
             raise ParseError(
                 f"{source_id}: declared {frame_count} frames but file ended after {f}"
             )
+        body_count = read_count(f"body count of frame {f}")
         bodies: list[Body] = []
         for b in range(body_count):
             info, _ = next_line(f"body info of frame {f}")
             body_id = info.split()[0]
-            joint_count = read_int(f"joint count of frame {f} body {b}")
+            joint_count = read_count(f"joint count of frame {f} body {b}")
             if locked_joints is None:
                 locked_joints = joint_count
             elif joint_count != locked_joints:
@@ -126,10 +132,8 @@ def parse_skeleton_file(text: str, expected_joints: int | None = None,
                 raise ParseError(f"{source_id}: frame {f} body {b}: non-finite coordinate")
             bodies.append(Body(body_id, joints))
         frames.append(bodies)
-    while pos < len(lines):
-        if lines[pos].strip():
-            raise ParseError(f"{source_id}: line {pos + 1}: trailing content after last frame")
-        pos += 1
+    if not at_end():
+        raise ParseError(f"{source_id}: line {pos + 1}: trailing content after last frame")
     return RawClip(frames, source_id)
 
 

@@ -38,6 +38,7 @@ from .tensor import (
     permute,
     reshape,
     softmax_rows,
+    temporal_graph_mix,
 )
 
 HEAD_KINDS = ("feature-calculated", "feature-learned")
@@ -175,22 +176,12 @@ def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,
         raise ShapeError(
             f"{mhc.identifier}: {len(adjacencies)} adjacencies for {len(mhc.heads)} heads"
         )
-    c, t, j = f_s.shape
+    c, t, _ = f_s.shape
     if c != mhc.channels:
         raise ShapeError(f"{mhc.identifier}: got {c} channels, built for {mhc.channels}")
-    time_major = reshape(permute(f_s, (1, 0, 2)), (t, c * j))
-    out = None
-    for adjacency, w_t in zip(adjacencies, mhc.output_maps):
+    for adjacency in adjacencies:
         if adjacency.shape != (t, t):
             raise ShapeError(
                 f"{mhc.identifier}: adjacency {adjacency.shape} does not match T={t}"
             )
-        mixed = reshape(matmul(adjacency, time_major), (t, c, j))
-        mapped = _head_output(w_t.value, permute(mixed, (1, 0, 2)))
-        out = mapped if out is None else add(out, mapped)
-    return out
-
-
-def _head_output(w_t: Tensor, f: Tensor) -> Tensor:
-    c, t, j = f.shape
-    return reshape(matmul(w_t, reshape(f, (c, t * j))), (c, t, j))
+    return temporal_graph_mix(f_s, adjacencies, [w_t.value for w_t in mhc.output_maps])

@@ -7,8 +7,12 @@ plain Wengert list replayed once and consumed in strict reverse execution
 order: each rule, and every buffer only it holds, is freed as soon as it
 has run, so a tape supports a single backward pass.  There is no
 broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
-ops so every backward rule stays auditable, and `temporal_conv` fuses the
-windowed temporal convolution into one record.
+ops so every backward rule stays auditable.  Three fused ops give each
+graph stage one record: `temporal_conv` (the windowed temporal
+convolution), `spatial_graph_conv` (the partitioned joint mixing) and
+`temporal_graph_mix` (the multi-head frame mixing).  Each reproduces the
+arithmetic of the op chain it replaces bit for bit, keeps only its inputs
+for backward and recomputes what its rule needs.
 
 Concurrency contract: tensors are never mutated by operations, so forward
 evaluation against frozen parameters is thread-safe.  A Tape is thread-local
@@ -214,6 +218,8 @@ OP_NAMES = [
     "sum_axis",
     "batchnorm",
     "temporal_conv",
+    "spatial_graph_conv",
+    "temporal_graph_mix",
 ]
 
 
@@ -493,6 +499,122 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
                     c_in, out_frames, joints)
             _accumulate(kernel, d_kernel)
             _accumulate(x, d_padded[:, pad:pad + frames])
+
+        tape.record(rule)
+    return out
+
+
+def _check_stack(op: str, operands: Sequence[Tensor], shape: tuple, what: str) -> None:
+    for n, t in enumerate(operands):
+        if t.shape != shape:
+            raise ShapeError(f"{op}: {what} {n} has shape {t.shape}, expected {shape}")
+
+
+def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor],
+                       adjacencies: Sequence[Tensor]) -> Tensor:
+    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by A_k.
+
+    weights[k] is (C_out, C_in) and adjacencies[k] is a destination-major
+    (J, J) matrix: output joint i takes sum_j A_k[i, j] x[..., j].  The
+    arithmetic is exactly that of the unfused reshape/matmul/permute/add
+    chain: subset k is the 1x1 channel map W_k @ x as (C_out T, J) times a
+    contiguous copy of A_k^T, and the subsets are summed in order k = 0..K-1.
+    The backward rule recomputes each channel map and sends the input
+    gradient one subset at a time, k = K-1..0.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"spatial_graph_conv expects a 3-D input, got {x.shape}")
+    if not weights or len(weights) != len(adjacencies):
+        raise ShapeError(f"spatial_graph_conv: {len(weights)} weights for "
+                         f"{len(adjacencies)} adjacencies")
+    c_in, frames, joints = x.shape
+    c_out = weights[0].shape[0]
+    _check_stack("spatial_graph_conv", weights, (c_out, c_in), "weight")
+    _check_stack("spatial_graph_conv", adjacencies, (joints, joints), "adjacency")
+    flat = x.data.reshape(c_in, frames * joints)
+
+    def channel_map(k: int) -> np.ndarray:
+        return (weights[k].data @ flat).reshape(c_out * frames, joints)
+
+    def mixer(k: int) -> np.ndarray:
+        return np.ascontiguousarray(adjacencies[k].data.T)
+
+    acc = channel_map(0) @ mixer(0)
+    for k in range(1, len(weights)):
+        acc += channel_map(k) @ mixer(k)
+    out = Tensor(acc.reshape(c_out, frames, joints))
+    _check_finite(out.data, "spatial_graph_conv")
+    tape = active_tape()
+    if tape is not None:
+
+        def rule():
+            if out.grad is None:
+                return
+            g = out.grad.reshape(c_out * frames, joints)
+            for k in reversed(range(len(weights))):
+                _accumulate(adjacencies[k], (channel_map(k).T @ g).T)
+                d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
+                _accumulate(weights[k], d_map @ flat.T)
+                _accumulate(x, (weights[k].data.T @ d_map).reshape(c_in, frames, joints))
+
+        tape.record(rule)
+    return out
+
+
+def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
+                       weights: Sequence[Tensor]) -> Tensor:
+    """(C, T, J) -> (C, T, J): sum_n W_n @ (x mixed along T by A_n).
+
+    adjacencies[n] is (T, T), row i holding frame i's weights over all
+    frames, and weights[n] is (C, C).  The arithmetic is exactly that of the
+    unfused permute/reshape/matmul/add chain: head n multiplies A_n by the
+    time-major (T, C J) view of x, takes a channel-major copy of the result
+    and maps it by W_n, and the heads are summed in order n = 0..N-1.  The
+    backward rule recomputes each head's mix and sums the heads' time-major
+    input gradients over n = N-1..0 before sending them to x.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"temporal_graph_mix expects a 3-D input, got {x.shape}")
+    if not weights or len(weights) != len(adjacencies):
+        raise ShapeError(f"temporal_graph_mix: {len(adjacencies)} adjacencies for "
+                         f"{len(weights)} weights")
+    c, frames, joints = x.shape
+    _check_stack("temporal_graph_mix", adjacencies, (frames, frames), "adjacency")
+    _check_stack("temporal_graph_mix", weights, (c, c), "weight")
+
+    def time_major() -> np.ndarray:
+        return np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(frames, c * joints)
+
+    def mixed(n: int, tm: np.ndarray) -> np.ndarray:
+        by_time = (adjacencies[n].data @ tm).reshape(frames, c, joints)
+        return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
+
+    tm = time_major()
+    acc = weights[0].data @ mixed(0, tm)
+    for n in range(1, len(weights)):
+        acc += weights[n].data @ mixed(n, tm)
+    out = Tensor(acc.reshape(c, frames, joints))
+    _check_finite(out.data, "temporal_graph_mix")
+    tape = active_tape()
+    if tape is not None:
+
+        def rule():
+            if out.grad is None:
+                return
+            g = out.grad.reshape(c, frames * joints)
+            tm = time_major()
+            d_tm = None
+            for n in reversed(range(len(weights))):
+                _accumulate(weights[n], g @ mixed(n, tm).T)
+                d_mixed = (weights[n].data.T @ g).reshape(c, frames, joints).transpose(
+                    1, 0, 2).reshape(frames, c * joints)
+                _accumulate(adjacencies[n], d_mixed @ tm.T)
+                term = adjacencies[n].data.T @ d_mixed
+                if d_tm is None:
+                    d_tm = term
+                else:
+                    d_tm += term
+            _accumulate(x, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
 
         tape.record(rule)
     return out

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 import csv
 import json
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -272,6 +273,50 @@ def test_eval_missing_checkpoint_is_data_error(dataset_dir, tmp_path, capsys):
                  "--data", str(dataset_dir / "manifest.jsonl")])
     assert code == 3
     assert "missing.tegc" in capsys.readouterr().err
+
+
+def write_checkpoint_manifest(path, manifest):
+    blob = json.dumps(manifest).encode()
+    path.write_bytes(struct.pack("<I", len(blob)) + blob)
+    return path
+
+
+@pytest.mark.parametrize("manifest,message", [
+    (["tegraph-checkpoint"], "not a checkpoint file"),
+    ({"format": "tegraph-checkpoint", "version": 1}, "no entries"),
+    ({"format": "tegraph-checkpoint", "entries": [{"id": "w", "shape": [2]}]},
+     "entry 0 needs"),
+    ({"format": "tegraph-checkpoint", "entries": [{"kind": "param", "shape": [2]}]},
+     "entry 0 needs"),
+    ({"format": "tegraph-checkpoint", "entries": [{"id": "w", "kind": "param"}]},
+     "entry 0 needs"),
+])
+def test_eval_malformed_checkpoint_manifest_is_data_error(dataset_dir, tmp_path, capsys,
+                                                          manifest, message):
+    path = write_checkpoint_manifest(tmp_path / "bad.tegc", manifest)
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,message", [
+    ('{"label": 0, "sample_id": "a", "files": {"joint-spatial": "a.tegt"}}',
+     "line 1: manifest line lacks split"),
+    ('["train", 0]', "line 1: manifest line is not a JSON object"),
+    ('{"split": "train", "files": {}}', "line 1: manifest line lacks label, sample_id"),
+    ('{"split": "train", "label": "x", "sample_id": "a", "files": {}}',
+     "line 1: label 'x' is not an integer"),
+    ('{"split": "train", "label": 0, "sample_id": "a", "files": ["a.tegt"]}',
+     "line 1: files must map"),
+])
+def test_train_malformed_manifest_is_data_error(tmp_path, capsys, line, message):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(line + "\n")
+    code = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                 "--single-thread", *TRAIN_OPTIONS])
+    assert code == 3
+    assert message in capsys.readouterr().err
 
 
 def test_fuse_two_streams(trained_dir, dataset_dir, capsys):

@@ -99,6 +99,23 @@ def test_parse_rejects_bad_coordinates():
         parse_skeleton_file(inf)
 
 
+def test_parse_rejects_negative_counts():
+    with pytest.raises(ParseError, match="line 1: negative frame count -3"):
+        parse_skeleton_file("-3\n", source_id="fix")
+    lines = TWO_FRAME_CLIP.splitlines()
+    lines[1] = "-1"  # first frame claims a negative number of bodies
+    with pytest.raises(ParseError, match="line 2: negative body count of frame 0"):
+        parse_skeleton_file("\n".join(lines))
+    lines = TWO_FRAME_CLIP.splitlines()
+    lines[3] = "-2"
+    with pytest.raises(ParseError, match="negative joint count of frame 0 body 0"):
+        parse_skeleton_file("\n".join(lines))
+
+
+def test_parse_zero_frames_is_an_empty_clip():
+    assert len(parse_skeleton_file("0\n")) == 0
+
+
 def test_parse_rejects_trailing_content():
     with pytest.raises(ParseError, match="trailing"):
         parse_skeleton_file(TWO_FRAME_CLIP + "0 0 0\n")
