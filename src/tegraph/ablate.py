@@ -33,11 +33,10 @@ MODALITY_COMBOS = (
 )
 
 
-def _train_eval(config: ModelConfig, train_set, eval_set, tconfig: TrainConfig,
-                threads: int) -> float:
+def _train_eval(config: ModelConfig, train_set, eval_set, tconfig: TrainConfig) -> float:
     network = Network(config)
-    train(network, train_set, eval_set, tconfig, threads=threads)
-    return evaluate(network, eval_set, threads=threads).accuracy
+    train(network, train_set, eval_set, tconfig)
+    return evaluate(network, eval_set).accuracy
 
 
 def _with_insertion(config: ModelConfig, index: int) -> ModelConfig:
@@ -47,8 +46,8 @@ def _with_insertion(config: ModelConfig, index: int) -> ModelConfig:
 
 
 def ablate_suite(suite: str, manifest_path, config: ModelConfig,
-                 tconfig: TrainConfig, kind: str = "joint-spatial",
-                 threads: int = 1) -> tuple[list[str], list[list]]:
+                 tconfig: TrainConfig,
+                 kind: str = "joint-spatial") -> tuple[list[str], list[list]]:
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
     if suite == "heads":
@@ -56,8 +55,7 @@ def ablate_suite(suite: str, manifest_path, config: ModelConfig,
         eval_set = load_split(manifest_path, kind, "eval")
         rows = []
         for n in HEAD_GRID:
-            acc = _train_eval(replace(config, heads=n),
-                              train_set, eval_set, tconfig, threads)
+            acc = _train_eval(replace(config, heads=n), train_set, eval_set, tconfig)
             rows.append([n, acc])
         return ["heads", "top1"], rows
 
@@ -66,8 +64,7 @@ def ablate_suite(suite: str, manifest_path, config: ModelConfig,
         eval_set = load_split(manifest_path, kind, "eval")
         rows = []
         for index in range(1, len(config.layers) + 1):
-            acc = _train_eval(_with_insertion(config, index),
-                              train_set, eval_set, tconfig, threads)
+            acc = _train_eval(_with_insertion(config, index), train_set, eval_set, tconfig)
             rows.append([index, acc])
         return ["insertion_layer", "top1"], rows
 
@@ -83,8 +80,8 @@ def ablate_suite(suite: str, manifest_path, config: ModelConfig,
         elif labels != eval_labels:
             raise ConfigError("modality streams disagree on eval labels/order")
         network = Network(config)
-        train(network, train_set, eval_set, tconfig, threads=threads)
-        per_kind_scores[stream_kind] = score_streams(network, eval_set, threads=threads)
+        train(network, train_set, eval_set, tconfig)
+        per_kind_scores[stream_kind] = score_streams(network, eval_set)
     rows = []
     for combo in MODALITY_COMBOS:
         correct = 0

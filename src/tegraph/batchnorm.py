@@ -4,7 +4,8 @@ Implemented as a dedicated taped op with a hand-written backward rather than
 a composition of primitives: the composed graph would be an order of
 magnitude more tape records per layer, and the closed-form gradient is the
 one place the chain rule is genuinely error-prone, so it gets its own
-gradient-check entry.
+gradient-check entry.  Its rule keeps the normalized input `xhat` and the
+per-channel scale, never x itself.
 
 Statistics reduce over every axis except axis 0; an input of shape
 (C, T, J) is normalized per channel over all frames and joints.  Variance is
@@ -60,21 +61,22 @@ def batchnorm(
 
     tape = active_tape()
     if tape is not None:
+        x_cell, gamma_cell, beta_cell, out_cell = x.cell, gamma.cell, beta.cell, out.cell
         inv_sigma = (gamma.data / sigma).reshape(bshape)
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            dy = out.grad
-            _accumulate(beta, dy.sum(axis=axes))
-            _accumulate(gamma, (dy * xhat).sum(axis=axes))
+            dy = out_cell.grad
+            _accumulate(beta_cell, dy.sum(axis=axes))
+            _accumulate(gamma_cell, (dy * xhat).sum(axis=axes))
             if training:
                 # Batch statistics depend on x, hence the two centering terms.
                 m_dy = dy.mean(axis=axes).reshape(bshape)
                 m_dy_xhat = (dy * xhat).mean(axis=axes).reshape(bshape)
-                _accumulate(x, inv_sigma * (dy - m_dy - xhat * m_dy_xhat))
+                _accumulate(x_cell, inv_sigma * (dy - m_dy - xhat * m_dy_xhat))
             else:
-                _accumulate(x, inv_sigma * dy)
+                _accumulate(x_cell, inv_sigma * dy)
 
         tape.record(rule)
     return out

@@ -9,7 +9,9 @@ buffers, each keyed by the owning parameter's identifier.
 from __future__ import annotations
 
 import json
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -32,6 +34,7 @@ def _network_entries(network: Network) -> list[tuple[str, str, np.ndarray]]:
 def save_checkpoint(path, network: Network, epoch: int,
                     momentum: dict[str, np.ndarray] | None = None,
                     extra: dict | None = None) -> None:
+    """Replace `path` atomically with the network's current state."""
     entries = _network_entries(network)
     if momentum is not None:
         for name in sorted(momentum):
@@ -48,11 +51,22 @@ def save_checkpoint(path, network: Network, epoch: int,
         ],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as stream:
-        stream.write(struct.pack("<I", len(blob)))
-        stream.write(blob)
-        for _, _, arr in entries:
-            write_tensor(stream, arr)
+    # Write a sibling file, make it durable, then rename it over `path`: a
+    # crash or kill at any point leaves either the old file or the new one.
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as stream:
+            stream.write(struct.pack("<I", len(blob)))
+            stream.write(blob)
+            for _, _, arr in entries:
+                write_tensor(stream, arr)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> tuple[dict, dict[tuple[str, str], np.ndarray]]:
@@ -119,7 +133,11 @@ def restore_network(network: Network, manifest: dict,
 
 def network_from_checkpoint(path) -> tuple[Network, dict, dict[str, np.ndarray]]:
     manifest, tensors = load_checkpoint(path)
-    config = ModelConfig.from_dict(manifest["config"])
-    network = Network(config)
+    if not isinstance(manifest.get("config"), dict):
+        raise DataError(f"{path}: checkpoint manifest has no config object")
+    try:
+        network = Network(ModelConfig.from_dict(manifest["config"]))
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+        raise DataError(f"{path}: bad checkpoint config: {exc!r}")
     momentum = restore_network(network, manifest, tensors)
     return network, manifest, momentum

@@ -4,8 +4,9 @@ Subcommands: preprocess, train, eval, fuse, gradcheck, ablate,
 dump-adjacency.  Options come from a flat key=value config file with
 per-invocation `--set key=value` overrides; see README for the key list.
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
-Thread fan-out (evaluation only) is capped by TEGRAPH_THREADS and forced
-to one by --single-thread, the bit-reproducibility switch.
+No subcommand fans work out over Python threads, so every run is
+bit-reproducible for a fixed seed; --single-thread is still accepted and
+changes nothing.
 """
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -164,20 +164,6 @@ def apply_precision(options: dict[str, str]) -> None:
     precision.set_mode(_get(options, "precision", precision.mode(), str))
 
 
-def resolve_threads(args) -> int:
-    if getattr(args, "single_thread", False):
-        return 1
-    if getattr(args, "threads", None):
-        return max(1, args.threads)
-    env = os.environ.get("TEGRAPH_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"TEGRAPH_THREADS={env!r} is not an integer")
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -203,7 +189,6 @@ def cmd_train(args) -> int:
     apply_precision(options)
     model_config = model_config_from(options)
     tconfig = train_config_from(options)
-    threads = resolve_threads(args)
     train_set = load_split(args.data, args.modality, "train")
     eval_set = load_split(args.data, args.modality, "eval")
     out_dir = Path(args.out)
@@ -214,7 +199,6 @@ def cmd_train(args) -> int:
         metrics_path=out_dir / "metrics.jsonl",
         checkpoint_path=out_dir / "checkpoint.tegc",
         best_path=(out_dir / "best.tegc") if eval_set else None,
-        threads=threads,
     )
     last = history[-1] if history else None
     if last is not None:
@@ -228,7 +212,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     network, manifest, _ = network_from_checkpoint(args.checkpoint)
     dataset = load_split(args.data, args.modality, args.split)
-    result = evaluate(network, dataset, threads=resolve_threads(args))
+    result = evaluate(network, dataset)
     print(f"top-1 accuracy {result.accuracy:.4f} on {len(dataset)} samples")
     return 0
 
@@ -248,7 +232,6 @@ def cmd_fuse(args) -> int:
     weights = [float(w) for w in args.weights.split(",")] if args.weights else None
     if weights is not None and len(weights) != len(streams):
         raise ConfigError(f"{len(streams)} streams but {len(weights)} weights")
-    threads = resolve_threads(args)
     labels = None
     per_stream_scores = []
     for kind, ckpt in streams:
@@ -259,7 +242,7 @@ def cmd_fuse(args) -> int:
             labels = stream_labels
         elif labels != stream_labels:
             raise DataError("streams disagree on sample labels/order")
-        per_stream_scores.append(score_streams(network, dataset, threads=threads))
+        per_stream_scores.append(score_streams(network, dataset))
     correct = 0
     for i, label in enumerate(labels):
         fused = fuse_streams([s[i] for s in per_stream_scores], weights)
@@ -289,8 +272,7 @@ def cmd_ablate(args) -> int:
     apply_precision(options)
     config = model_config_from(options)
     tconfig = train_config_from(options)
-    header, rows = ablate_suite(args.suite, args.data, config, tconfig,
-                                kind=args.modality, threads=resolve_threads(args))
+    header, rows = ablate_suite(args.suite, args.data, config, tconfig, kind=args.modality)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as stream:
@@ -328,9 +310,8 @@ def _add_common_run_flags(sub) -> None:
     sub.add_argument("--config", help="key=value options file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--threads", type=int, help="evaluation fan-out cap")
     sub.add_argument("--single-thread", action="store_true",
-                     help="force sequential execution (bit-reproducible)")
+                     help="no effect: every run is sequential and bit-reproducible")
 
 
 def build_parser() -> argparse.ArgumentParser:

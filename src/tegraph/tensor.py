@@ -11,13 +11,25 @@ ops so every backward rule stays auditable.  Three fused ops give each
 graph stage one record: `temporal_conv` (the windowed temporal
 convolution), `spatial_graph_conv` (the partitioned joint mixing) and
 `temporal_graph_mix` (the multi-head frame mixing).  Each reproduces the
-arithmetic of the op chain it replaces bit for bit, keeps only its inputs
-for backward and recomputes what its rule needs.
+arithmetic of the op chain it replaces bit for bit and recomputes what its
+rule needs from its inputs.
 
-Concurrency contract: tensors are never mutated by operations, so forward
-evaluation against frozen parameters is thread-safe.  A Tape is thread-local
-and must stay confined to the thread that created it.  Parameter mutation
-(optimizer steps, gradient zeroing) requires exclusive access.
+Retention: a tensor's gradient slot is a GradCell held apart from its data.
+A backward rule closes over the cells it reads and writes (its output's and
+its inputs') and over exactly the arrays its formula reads, never over a
+Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
+`slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
+and `mul` their operands, the softmaxes their output, `batchnorm` its
+normalized input, and the three fused ops their inputs.  Every other
+intermediate is freed as soon as the forward pass drops it, while the tape
+is still live.
+
+Concurrency: the package starts no threads.  Operations never mutate
+tensors, and the tape stack is thread-local, so a Tape must stay confined
+to the thread that created it.  Cells are written without a lock: two
+tapes reaching the same tensor (every Parameter) must not replay at once,
+and parameter mutation (optimizer steps, gradient zeroing) requires
+exclusive access.
 """
 from __future__ import annotations
 
@@ -43,19 +55,40 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NumericError(f"{op} produced non-finite values")
 
 
+class GradCell:
+    """The gradient slot of one Tensor, held apart from its data.
+
+    Backward rules close over cells instead of tensors, so recording a rule
+    keeps no array alive that the rule's formula does not read.
+    """
+
+    __slots__ = ("grad",)
+
+    def __init__(self):
+        self.grad: np.ndarray | None = None
+
+
 class Tensor:
     """Immutable-by-convention dense array of the current global dtype.
 
-    `grad` is filled in by Tape.backward; it is None until the tensor has
-    received its first contribution (parameters pre-allocate zeros instead,
-    see Parameter).
+    `grad` (stored in the tensor's GradCell) is filled in by Tape.backward;
+    it is None until the tensor has received its first contribution
+    (parameters pre-allocate zeros instead, see Parameter).
     """
 
-    __slots__ = ("data", "grad")
+    __slots__ = ("data", "cell")
 
     def __init__(self, data):
         self.data = np.asarray(data, dtype=precision.dtype())
-        self.grad: np.ndarray | None = None
+        self.cell = GradCell()
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.cell.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.cell.grad = value
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -145,9 +178,10 @@ def active_tape() -> "Tape | None":
 class Tape:
     """Ordered record of executed operations for one forward pass.
 
-    Backward rules are closures over the op's input/output tensors; replay
-    happens in strict reverse execution order, which for a DAG guarantees an
-    output's gradient is complete before its producer's rule runs.  Replay
+    Backward rules are closures over the gradient cells of the op's inputs
+    and output and over the arrays the rule reads; replay happens in strict
+    reverse execution order, which for a DAG guarantees an output's
+    gradient is complete before its producer's rule runs.  Replay
     pops each rule before running it, so the tape is empty afterwards and a
     second backward (or a further record) raises.
     """
@@ -183,17 +217,17 @@ class Tape:
         self._consumed = True
         if seed is None:
             seed = np.ones(output.shape, dtype=output.data.dtype)
-        _accumulate(output, np.asarray(seed, dtype=output.data.dtype))
+        _accumulate(output.cell, np.asarray(seed, dtype=output.data.dtype))
         records = self._records
         while records:
             records.pop()()
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.grad is None:
-        t.grad = np.array(g)  # own the buffer so later += cannot alias
+def _accumulate(cell: GradCell, g: np.ndarray) -> None:
+    if cell.grad is None:
+        cell.grad = np.array(g)  # own the buffer so later += cannot alias
     else:
-        t.grad += g
+        cell.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +266,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "matmul")
     tape = active_tape()
     if tape is not None:
+        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
+        a_data, b_data = a.data, b.data
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad @ b.data.T)
-            _accumulate(b, a.data.T @ out.grad)
+            _accumulate(a_cell, out_cell.grad @ b_data.T)
+            _accumulate(b_cell, a_data.T @ out_cell.grad)
 
         tape.record(rule)
     return out
@@ -252,12 +288,13 @@ def softmax_rows(m: Tensor) -> Tensor:
     _check_finite(out.data, "softmax_rows")
     tape = active_tape()
     if tape is not None:
+        m_cell, out_cell, s = m.cell, out.cell, out.data
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            s = out.data
-            _accumulate(m, s * (out.grad - np.sum(out.grad * s, axis=1, keepdims=True)))
+            g = out_cell.grad
+            _accumulate(m_cell, s * (g - np.sum(g * s, axis=1, keepdims=True)))
 
         tape.record(rule)
     return out
@@ -272,12 +309,13 @@ def log_softmax_rows(m: Tensor) -> Tensor:
     _check_finite(out.data, "log_softmax_rows")
     tape = active_tape()
     if tape is not None:
+        m_cell, out_cell, log_soft = m.cell, out.cell, out.data
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            soft = np.exp(out.data)
-            _accumulate(m, out.grad - soft * out.grad.sum(axis=1, keepdims=True))
+            g = out_cell.grad
+            _accumulate(m_cell, g - np.exp(log_soft) * g.sum(axis=1, keepdims=True))
 
         tape.record(rule)
     return out
@@ -294,12 +332,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "add")
     tape = active_tape()
     if tape is not None:
+        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad)
-            _accumulate(b, out.grad)
+            _accumulate(a_cell, out_cell.grad)
+            _accumulate(b_cell, out_cell.grad)
 
         tape.record(rule)
     return out
@@ -311,12 +350,13 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "sub")
     tape = active_tape()
     if tape is not None:
+        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad)
-            _accumulate(b, -out.grad)
+            _accumulate(a_cell, out_cell.grad)
+            _accumulate(b_cell, -out_cell.grad)
 
         tape.record(rule)
     return out
@@ -328,12 +368,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_finite(out.data, "mul")
     tape = active_tape()
     if tape is not None:
+        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
+        a_data, b_data = a.data, b.data
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad * b.data)
-            _accumulate(b, out.grad * a.data)
+            _accumulate(a_cell, out_cell.grad * b_data)
+            _accumulate(b_cell, out_cell.grad * a_data)
 
         tape.record(rule)
     return out
@@ -344,11 +386,12 @@ def scale(a: Tensor, s: float) -> Tensor:
     _check_finite(out.data, "scale")
     tape = active_tape()
     if tape is not None:
+        a_cell, out_cell = a.cell, out.cell
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad * s)
+            _accumulate(a_cell, out_cell.grad * s)
 
         tape.record(rule)
     return out
@@ -358,12 +401,13 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
     tape = active_tape()
     if tape is not None:
+        a_cell, out_cell = a.cell, out.cell
         mask = a.data > 0  # non-positive inputs get zero gradient
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad * mask)
+            _accumulate(a_cell, out_cell.grad * mask)
 
         tape.record(rule)
     return out
@@ -376,12 +420,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape))
     tape = active_tape()
     if tape is not None:
-        original = a.shape
+        a_cell, out_cell, original = a.cell, out.cell, a.shape
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad.reshape(original))
+            _accumulate(a_cell, out_cell.grad.reshape(original))
 
         tape.record(rule)
     return out
@@ -394,12 +438,13 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
     tape = active_tape()
     if tape is not None:
+        a_cell, out_cell = a.cell, out.cell
         inverse = tuple(np.argsort(axes))
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad.transpose(inverse))
+            _accumulate(a_cell, out_cell.grad.transpose(inverse))
 
         tape.record(rule)
     return out
@@ -416,11 +461,12 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
         index = [slice(None)] * a.data.ndim
         index[axis] = slice(before, before + a.shape[axis])
         index = tuple(index)
+        a_cell, out_cell = a.cell, out.cell
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, out.grad[index])
+            _accumulate(a_cell, out_cell.grad[index])
 
         tape.record(rule)
     return out
@@ -435,13 +481,15 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Te
     out = Tensor(np.ascontiguousarray(a.data[index]))
     tape = active_tape()
     if tape is not None:
+        a_cell, out_cell = a.cell, out.cell
+        shape, dtype = a.shape, a.data.dtype
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
-            _accumulate(a, g)
+            g = np.zeros(shape, dtype)
+            g[index] = out_cell.grad
+            _accumulate(a_cell, g)
 
         tape.record(rule)
     return out
@@ -470,14 +518,15 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
                          f"than the kernel ({taps})")
     widths = ((0, 0), (pad, pad), (0, 0))
     span = (out_frames - 1) * stride + 1
+    x_data, kernel_data = x.data, kernel.data
 
     def tap(padded: np.ndarray, k: int) -> np.ndarray:
         return np.ascontiguousarray(padded[:, k:k + span:stride]).reshape(c_in, -1)
 
     def weight(k: int) -> np.ndarray:
-        return np.ascontiguousarray(kernel.data[:, :, k])
+        return np.ascontiguousarray(kernel_data[:, :, k])
 
-    padded = np.pad(x.data, widths)
+    padded = np.pad(x_data, widths)
     acc = weight(0) @ tap(padded, 0)
     for k in range(1, taps):
         acc += weight(k) @ tap(padded, k)
@@ -485,20 +534,21 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     _check_finite(out.data, "temporal_conv")
     tape = active_tape()
     if tape is not None:
+        x_cell, kernel_cell, out_cell = x.cell, kernel.cell, out.cell
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            g = out.grad.reshape(c_out, -1)
-            padded = np.pad(x.data, widths)
-            d_kernel = np.zeros_like(kernel.data)
+            g = out_cell.grad.reshape(c_out, -1)
+            padded = np.pad(x_data, widths)
+            d_kernel = np.zeros_like(kernel_data)
             d_padded = np.zeros_like(padded)
             for k in reversed(range(taps)):
                 d_kernel[:, :, k] = g @ tap(padded, k).T
                 d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
                     c_in, out_frames, joints)
-            _accumulate(kernel, d_kernel)
-            _accumulate(x, d_padded[:, pad:pad + frames])
+            _accumulate(kernel_cell, d_kernel)
+            _accumulate(x_cell, d_padded[:, pad:pad + frames])
 
         tape.record(rule)
     return out
@@ -532,30 +582,35 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor],
     _check_stack("spatial_graph_conv", weights, (c_out, c_in), "weight")
     _check_stack("spatial_graph_conv", adjacencies, (joints, joints), "adjacency")
     flat = x.data.reshape(c_in, frames * joints)
+    w_data = [w.data for w in weights]
+    a_data = [a.data for a in adjacencies]
 
     def channel_map(k: int) -> np.ndarray:
-        return (weights[k].data @ flat).reshape(c_out * frames, joints)
+        return (w_data[k] @ flat).reshape(c_out * frames, joints)
 
     def mixer(k: int) -> np.ndarray:
-        return np.ascontiguousarray(adjacencies[k].data.T)
+        return np.ascontiguousarray(a_data[k].T)
 
     acc = channel_map(0) @ mixer(0)
-    for k in range(1, len(weights)):
+    for k in range(1, len(w_data)):
         acc += channel_map(k) @ mixer(k)
     out = Tensor(acc.reshape(c_out, frames, joints))
     _check_finite(out.data, "spatial_graph_conv")
     tape = active_tape()
     if tape is not None:
+        x_cell, out_cell = x.cell, out.cell
+        w_cells = [w.cell for w in weights]
+        a_cells = [a.cell for a in adjacencies]
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            g = out.grad.reshape(c_out * frames, joints)
-            for k in reversed(range(len(weights))):
-                _accumulate(adjacencies[k], (channel_map(k).T @ g).T)
+            g = out_cell.grad.reshape(c_out * frames, joints)
+            for k in reversed(range(len(w_data))):
+                _accumulate(a_cells[k], (channel_map(k).T @ g).T)
                 d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
-                _accumulate(weights[k], d_map @ flat.T)
-                _accumulate(x, (weights[k].data.T @ d_map).reshape(c_in, frames, joints))
+                _accumulate(w_cells[k], d_map @ flat.T)
+                _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints))
 
         tape.record(rule)
     return out
@@ -581,40 +636,46 @@ def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
     c, frames, joints = x.shape
     _check_stack("temporal_graph_mix", adjacencies, (frames, frames), "adjacency")
     _check_stack("temporal_graph_mix", weights, (c, c), "weight")
+    x_data = x.data
+    a_data = [a.data for a in adjacencies]
+    w_data = [w.data for w in weights]
 
     def time_major() -> np.ndarray:
-        return np.ascontiguousarray(x.data.transpose(1, 0, 2)).reshape(frames, c * joints)
+        return np.ascontiguousarray(x_data.transpose(1, 0, 2)).reshape(frames, c * joints)
 
     def mixed(n: int, tm: np.ndarray) -> np.ndarray:
-        by_time = (adjacencies[n].data @ tm).reshape(frames, c, joints)
+        by_time = (a_data[n] @ tm).reshape(frames, c, joints)
         return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
 
     tm = time_major()
-    acc = weights[0].data @ mixed(0, tm)
-    for n in range(1, len(weights)):
-        acc += weights[n].data @ mixed(n, tm)
+    acc = w_data[0] @ mixed(0, tm)
+    for n in range(1, len(w_data)):
+        acc += w_data[n] @ mixed(n, tm)
     out = Tensor(acc.reshape(c, frames, joints))
     _check_finite(out.data, "temporal_graph_mix")
     tape = active_tape()
     if tape is not None:
+        x_cell, out_cell = x.cell, out.cell
+        a_cells = [a.cell for a in adjacencies]
+        w_cells = [w.cell for w in weights]
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            g = out.grad.reshape(c, frames * joints)
+            g = out_cell.grad.reshape(c, frames * joints)
             tm = time_major()
             d_tm = None
-            for n in reversed(range(len(weights))):
-                _accumulate(weights[n], g @ mixed(n, tm).T)
-                d_mixed = (weights[n].data.T @ g).reshape(c, frames, joints).transpose(
+            for n in reversed(range(len(w_data))):
+                _accumulate(w_cells[n], g @ mixed(n, tm).T)
+                d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
                     1, 0, 2).reshape(frames, c * joints)
-                _accumulate(adjacencies[n], d_mixed @ tm.T)
-                term = adjacencies[n].data.T @ d_mixed
+                _accumulate(a_cells[n], d_mixed @ tm.T)
+                term = a_data[n].T @ d_mixed
                 if d_tm is None:
                     d_tm = term
                 else:
                     d_tm += term
-            _accumulate(x, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
+            _accumulate(x_cell, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
 
         tape.record(rule)
     return out
@@ -625,12 +686,12 @@ def sum_all(a: Tensor) -> Tensor:
     _check_finite(out.data, "sum_all")
     tape = active_tape()
     if tape is not None:
-        shape = a.shape
+        a_cell, out_cell, shape = a.cell, out.cell, a.shape
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, np.broadcast_to(out.grad, shape))
+            _accumulate(a_cell, np.broadcast_to(out_cell.grad, shape))
 
         tape.record(rule)
     return out
@@ -641,11 +702,12 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     _check_finite(out.data, "sum_axis")
     tape = active_tape()
     if tape is not None:
+        a_cell, out_cell, shape = a.cell, out.cell, a.shape
 
         def rule():
-            if out.grad is None:
+            if out_cell.grad is None:
                 return
-            _accumulate(a, np.broadcast_to(np.expand_dims(out.grad, axis), a.shape))
+            _accumulate(a_cell, np.broadcast_to(np.expand_dims(out_cell.grad, axis), shape))
 
         tape.record(rule)
     return out

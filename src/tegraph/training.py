@@ -1,22 +1,25 @@
 """SGD training loop, step-decay schedule, and evaluation.
 
-Determinism contract: with a fixed seed and threads=1 every run is
-bit-reproducible — the shuffle stream is seeded, batch gradients are an
-ordered sum divided by the batch size, and the decayed learning rates are
-computed in decimal so 0.1 decayed twice is the literal float 0.001 rather
-than an accumulated product of rounding errors.  Wall-clock time is kept
-out of the metrics file (it goes to the log instead) so identical runs
-produce identical bytes.
+Determinism contract: with a fixed seed every run is bit-reproducible —
+the shuffle stream is seeded, batch gradients are an ordered sum divided by
+the batch size, and the decayed learning rates are computed in decimal so
+0.1 decayed twice is the literal float 0.001 rather than an accumulated
+product of rounding errors.  Wall-clock time is kept out of the metrics
+file (it goes to the log instead) so identical runs produce identical
+bytes.  No Python threads are started; evaluation forwards one sample at
+a time, in input order.
 
-Evaluation forwards are pure against frozen parameters and may fan out
-over a thread pool; results are collected in input order.
+Memory: each training sample records its own Tape and replays it before
+the next sample starts.  During the forward pass the tape retains only
+what the backward rules read (see tensor.py), so a step's peak is one
+sample's retained arrays on top of the parameters, their gradients and
+the momentum buffers.
 """
 from __future__ import annotations
 
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -120,37 +123,26 @@ def _predict(network: Network, data) -> np.ndarray:
     return logits
 
 
-def evaluate(network: Network, dataset, threads: int = 1) -> EvalResult:
+def evaluate(network: Network, dataset) -> EvalResult:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     if not dataset:
         raise DataError("evaluation set is empty")
     network.set_training(False)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            logit_rows = list(pool.map(lambda item: _predict(network, item[0]), dataset))
-    else:
-        logit_rows = [_predict(network, item[0]) for item in dataset]
-    predictions = [int(np.argmax(row)) for row in logit_rows]
+    predictions = [int(np.argmax(_predict(network, item[0]))) for item in dataset]
     correct = sum(1 for p, item in zip(predictions, dataset) if p == item[1])
     return EvalResult(correct / len(dataset), predictions)
 
 
-def score_streams(network: Network, dataset, threads: int = 1) -> list[np.ndarray]:
+def score_streams(network: Network, dataset) -> list[np.ndarray]:
     """Per-sample softmax class distributions, for score fusion."""
     if not dataset:
         raise DataError("dataset is empty")
     network.set_training(False)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda item: _predict(network, item[0]), dataset))
-    else:
-        rows = [_predict(network, item[0]) for item in dataset]
-    return [softmax_distribution(row) for row in rows]
+    return [softmax_distribution(_predict(network, item[0])) for item in dataset]
 
 
 def train(network: Network, train_set, eval_set, config: TrainConfig,
-          metrics_path=None, checkpoint_path=None, best_path=None,
-          threads: int = 1) -> list[Metrics]:
+          metrics_path=None, checkpoint_path=None, best_path=None) -> list[Metrics]:
     """Run the full schedule; returns per-epoch metrics.
 
     `checkpoint_path` is rewritten after every completed epoch, so on a
@@ -207,7 +199,7 @@ def train(network: Network, train_set, eval_set, config: TrainConfig,
             train_acc = correct / len(order)
             eval_acc = None
             if eval_set:
-                eval_acc = evaluate(network, eval_set, threads).accuracy
+                eval_acc = evaluate(network, eval_set).accuracy
             metrics = Metrics(epoch, lr, train_loss, train_acc, eval_acc,
                               time.perf_counter() - started)
             history.append(metrics)

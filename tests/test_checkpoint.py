@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+import tegraph.checkpoint
 from tegraph.checkpoint import (
     load_checkpoint,
     network_from_checkpoint,
@@ -14,6 +15,7 @@ from tegraph.checkpoint import (
 from tegraph.errors import ConfigError, DataError
 from tegraph.model import LayerSpec, ModelConfig, Network
 from tegraph.tensor import Tape
+from tegraph.tensorio import write_tensor
 from tegraph.training import TrainConfig, train
 
 
@@ -172,3 +174,32 @@ def test_checkpoint_preserves_training_progress(tmp_path):
     with Tape() as tape:
         loss_b = resumed.loss(resumed.forward_sample(data[0][0]), data[0][1])
     assert loss_a.item() == loss_b.item()
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    net = make_network()
+    path = tmp_path / "checkpoint.tegc"
+    save_checkpoint(path, net, epoch=0)
+    before = path.read_bytes()
+    written = []
+
+    def write_then_fail(stream, arr):
+        if written:
+            raise OSError("disk full")
+        written.append(arr)
+        write_tensor(stream, arr)
+
+    monkeypatch.setattr(tegraph.checkpoint, "write_tensor", write_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, trained_network(tmp_path), epoch=1)
+    assert written, "the failure must come after part of the payload was written"
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.tegc"]
+
+
+def test_save_replaces_checkpoint_and_leaves_no_partial_file(tmp_path):
+    path = tmp_path / "checkpoint.tegc"
+    save_checkpoint(path, make_network(), epoch=0)
+    save_checkpoint(str(path), make_network(seed=1), epoch=1)
+    assert load_checkpoint(path)[0]["epoch"] == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.tegc"]

@@ -13,7 +13,6 @@ from tegraph.cli import (
     model_config_from,
     parse_kv_file,
     parse_layer_specs,
-    resolve_threads,
     train_config_from,
 )
 from tegraph.dataset import read_manifest
@@ -150,18 +149,6 @@ def test_train_config_from_options():
         train_config_from({"epochs": "many"})
 
 
-def test_resolve_threads(monkeypatch):
-    assert resolve_threads(SimpleNamespace(single_thread=True, threads=8)) == 1
-    assert resolve_threads(SimpleNamespace(single_thread=False, threads=3)) == 3
-    monkeypatch.setenv("TEGRAPH_THREADS", "5")
-    assert resolve_threads(SimpleNamespace(single_thread=False, threads=None)) == 5
-    monkeypatch.setenv("TEGRAPH_THREADS", "lots")
-    with pytest.raises(ConfigError, match="TEGRAPH_THREADS"):
-        resolve_threads(SimpleNamespace(single_thread=False, threads=None))
-    monkeypatch.delenv("TEGRAPH_THREADS")
-    assert resolve_threads(SimpleNamespace(single_thread=False, threads=None)) == 1
-
-
 # ---------------------------------------------------------------------------
 # preprocess
 
@@ -293,6 +280,30 @@ def write_checkpoint_manifest(path, manifest):
 ])
 def test_eval_malformed_checkpoint_manifest_is_data_error(dataset_dir, tmp_path, capsys,
                                                           manifest, message):
+    path = write_checkpoint_manifest(tmp_path / "bad.tegc", manifest)
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+CONFIG = {"layers": [[3, 8, 1, "tc", 3]], "num_classes": 2, "num_joints": 5,
+          "fixed_length": 8}
+
+
+@pytest.mark.parametrize("extra,message", [
+    ({}, "no config object"),
+    ({"config": [1, 2]}, "no config object"),
+    ({"config": {k: v for k, v in CONFIG.items() if k != "layers"}}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, layers=5)}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, layers=[[3, 8]])}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, layers=[["three", 8, 1, "tc", 3]])}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, layers=[[3, 8, 1, "sideways", 3]])}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, graph="ntu")}, "bad checkpoint config"),
+])
+def test_eval_malformed_checkpoint_config_is_data_error(dataset_dir, tmp_path, capsys,
+                                                        extra, message):
+    manifest = {"format": "tegraph-checkpoint", "entries": [], **extra}
     path = write_checkpoint_manifest(tmp_path / "bad.tegc", manifest)
     code = main(["eval", "--checkpoint", str(path),
                  "--data", str(dataset_dir / "manifest.jsonl")])

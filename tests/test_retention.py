@@ -1,0 +1,169 @@
+"""Backward rules keep only what they read.
+
+Every rule closes over gradient cells plus exactly the arrays its formula
+reads, so an intermediate feature map is freed as soon as the forward pass
+drops it, while its tape is still live.
+"""
+import tracemalloc
+import types
+import weakref
+
+import numpy as np
+import pytest
+
+from tegraph import precision
+from tegraph.batchnorm import BatchNorm, batchnorm
+from tegraph.model import Network, backbone_config
+from tegraph.tensor import (
+    OP_NAMES,
+    GradCell,
+    Tape,
+    Tensor,
+    add,
+    log_softmax_rows,
+    matmul,
+    mul,
+    pad_axis,
+    permute,
+    relu,
+    reshape,
+    scale,
+    slice_axis,
+    softmax_rows,
+    spatial_graph_conv,
+    sub,
+    sum_all,
+    sum_axis,
+    temporal_conv,
+    temporal_graph_mix,
+)
+
+
+def _t(rng, *shape):
+    return Tensor(rng.normal(size=shape))
+
+
+# op -> (inputs from a generator, the call, names of the tensors whose data
+# the rule reads; "out" is the op's output).
+CASES = {
+    "matmul": (lambda r: {"a": _t(r, 3, 4), "b": _t(r, 4, 2)},
+               lambda i: matmul(i["a"], i["b"]), {"a", "b"}),
+    "softmax_rows": (lambda r: {"m": _t(r, 3, 4)},
+                     lambda i: softmax_rows(i["m"]), {"out"}),
+    "log_softmax_rows": (lambda r: {"m": _t(r, 3, 4)},
+                         lambda i: log_softmax_rows(i["m"]), {"out"}),
+    "add": (lambda r: {"a": _t(r, 3, 4), "b": _t(r, 3, 4)},
+            lambda i: add(i["a"], i["b"]), set()),
+    "sub": (lambda r: {"a": _t(r, 3, 4), "b": _t(r, 3, 4)},
+            lambda i: sub(i["a"], i["b"]), set()),
+    "mul": (lambda r: {"a": _t(r, 3, 4), "b": _t(r, 3, 4)},
+            lambda i: mul(i["a"], i["b"]), {"a", "b"}),
+    "scale": (lambda r: {"a": _t(r, 3, 4)}, lambda i: scale(i["a"], 1.5), set()),
+    "relu": (lambda r: {"a": _t(r, 3, 4)}, lambda i: relu(i["a"]), set()),
+    "reshape": (lambda r: {"a": _t(r, 3, 4)}, lambda i: reshape(i["a"], (4, 3)), set()),
+    "permute": (lambda r: {"a": _t(r, 2, 3, 4)},
+                lambda i: permute(i["a"], (2, 0, 1)), set()),
+    "pad_axis": (lambda r: {"a": _t(r, 3, 4)}, lambda i: pad_axis(i["a"], 1, 2, 1), set()),
+    "slice_axis": (lambda r: {"a": _t(r, 3, 9)},
+                   lambda i: slice_axis(i["a"], 1, 1, 8, 3), set()),
+    "sum_all": (lambda r: {"a": _t(r, 3, 4)}, lambda i: sum_all(i["a"]), set()),
+    "sum_axis": (lambda r: {"a": _t(r, 3, 4, 2)}, lambda i: sum_axis(i["a"], 1), set()),
+    "batchnorm": (lambda r: {"x": _t(r, 3, 4, 5), "gamma": _t(r, 3), "beta": _t(r, 3)},
+                  lambda i: batchnorm(i["x"], i["gamma"], i["beta"], np.zeros(3),
+                                      np.ones(3), training=True), set()),
+    "temporal_conv": (lambda r: {"x": _t(r, 3, 7, 2), "kernel": _t(r, 4, 3, 3)},
+                      lambda i: temporal_conv(i["x"], i["kernel"], 2, 1), {"x", "kernel"}),
+    "spatial_graph_conv": (
+        lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
+                   "a0": _t(r, 5, 5), "a1": _t(r, 5, 5)},
+        lambda i: spatial_graph_conv(i["x"], [i["w0"], i["w1"]], [i["a0"], i["a1"]]),
+        {"x", "w0", "w1", "a0", "a1"}),
+    "temporal_graph_mix": (
+        lambda r: {"x": _t(r, 3, 5, 2), "a0": _t(r, 5, 5), "a1": _t(r, 5, 5),
+                   "w0": _t(r, 3, 3), "w1": _t(r, 3, 3)},
+        lambda i: temporal_graph_mix(i["x"], [i["a0"], i["a1"]], [i["w0"], i["w1"]]),
+        {"x", "w0", "w1", "a0", "a1"}),
+}
+
+
+def closure_contents(fn):
+    """Every object reachable from `fn` through closures, lists and tuples."""
+    seen, found, stack = set(), [], [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ())
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+    return found
+
+
+def test_every_op_has_a_retention_case():
+    assert sorted(CASES) == sorted(OP_NAMES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_rule_closes_over_cells_and_only_the_arrays_it_reads(name):
+    build, call, reads = CASES[name]
+    tensors = build(np.random.default_rng(3))
+    with Tape() as tape:
+        tensors["out"] = call(tensors)
+    (rule,) = tape._records
+    assert rule.__qualname__.split(".")[0] == name
+    held = closure_contents(rule)
+    assert not [obj for obj in held if isinstance(obj, Tensor)]
+    cells = {id(obj) for obj in held if isinstance(obj, GradCell)}
+    assert {id(t.cell) for t in tensors.values()} <= cells
+    arrays = [obj for obj in held if isinstance(obj, np.ndarray)]
+    for label, t in tensors.items():
+        if label not in reads:
+            assert not any(np.shares_memory(arr, t.data) for arr in arrays), label
+
+
+def test_bn_relu_add_intermediates_are_freed_while_the_tape_is_live():
+    rng = np.random.default_rng(4)
+    x_data = rng.normal(size=(4, 6, 3))
+
+    def run(keep: bool):
+        x = Tensor(x_data)
+        bn = BatchNorm(4, "bn")
+        with Tape() as tape:
+            normed = bn(x)
+            rectified = relu(normed)
+            summed = add(rectified, x)
+            loss = sum_all(summed)
+        refs = [weakref.ref(t.data) for t in (normed, rectified, summed)]
+        kept = (normed, rectified, summed) if keep else None
+        del normed, rectified, summed
+        freed = [ref() is None for ref in refs]
+        tape.backward(loss)
+        del kept
+        return freed, [x.grad, bn.gamma.grad, bn.beta.grad]
+
+    freed, grads = run(keep=False)
+    assert freed == [True, True, True]
+    _, reference = run(keep=True)
+    for got, want in zip(grads, reference):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("replace_all,bound_mb", [(False, 150), (True, 170)])
+def test_capture_scale_sample_peak_memory(replace_all, bound_mb):
+    with precision.scoped_mode("train"):
+        network = Network(backbone_config(2, max_bodies=1, replace_all=replace_all))
+        network.set_training(True)
+        sample = np.random.default_rng(0).normal(size=(3, 300, 25, 1))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                loss = network.loss(network.forward_sample(sample), 1)
+            tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert all(np.isfinite(p.grad).all() for p in network.parameters())
+    assert peak / 2**20 < bound_mb, f"traced peak {peak / 2**20:.0f} MB"

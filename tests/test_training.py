@@ -188,16 +188,6 @@ def test_evaluate_breaks_ties_toward_lowest_class():
     assert evaluate(net, [(0, 0)]).predictions == [0]
 
 
-def test_evaluate_threaded_matches_sequential():
-    table = {i: np.random.default_rng(i).normal(size=3) for i in range(17)}
-    net = FakeNet(table)
-    dataset = [(i, i % 3) for i in range(17)]
-    seq = evaluate(net, dataset, threads=1)
-    par = evaluate(net, dataset, threads=4)
-    assert seq.predictions == par.predictions
-    assert seq.accuracy == par.accuracy
-
-
 def test_evaluate_rejects_empty_set():
     with pytest.raises(DataError, match="empty"):
         evaluate(FakeNet({}), [])
