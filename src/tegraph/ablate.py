@@ -11,11 +11,9 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-import numpy as np
-
 from .dataset import load_split
 from .errors import ConfigError
-from .model import ModelConfig, Network, fuse_streams
+from .model import ModelConfig, Network, fused_accuracy
 from .training import TrainConfig, evaluate, score_streams, train
 
 SUITES = ("heads", "layer-placement", "modalities")
@@ -82,12 +80,6 @@ def ablate_suite(suite: str, manifest_path, config: ModelConfig,
         network = Network(config)
         train(network, train_set, eval_set, tconfig)
         per_kind_scores[stream_kind] = score_streams(network, eval_set)
-    rows = []
-    for combo in MODALITY_COMBOS:
-        correct = 0
-        for i, label in enumerate(eval_labels):
-            fused = fuse_streams([per_kind_scores[k][i] for k in combo])
-            if int(np.argmax(fused)) == label:
-                correct += 1
-        rows.append(["+".join(combo), correct / len(eval_labels)])
+    rows = [["+".join(combo), fused_accuracy([per_kind_scores[k] for k in combo], eval_labels)]
+            for combo in MODALITY_COMBOS]
     return ["modalities", "top1"], rows

@@ -23,6 +23,7 @@ map to class logits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,7 @@ from .blocks import (
     tc_forward,
     tc_output_length,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .graph import SkeletonGraph, chain_graph, normalized_partitions, ntu_graph
 from .tensor import (
     Parameter,
@@ -348,16 +349,26 @@ class Network:
         return scale(picked, -1.0)
 
 
+def fusion_weights(weights, streams: int) -> list[float]:
+    """`streams` finite, nonnegative fusion weights as floats; all ones for None."""
+    if weights is None:
+        return [1.0] * streams
+    try:
+        weights = [float(w) for w in weights]
+    except (TypeError, ValueError):
+        raise ConfigError(f"fusion weights must be numbers, got {weights!r}")
+    if len(weights) != streams:
+        raise ConfigError(f"{streams} streams but {len(weights)} weights")
+    if not all(math.isfinite(w) and w >= 0 for w in weights):
+        raise ConfigError(f"fusion weights must be finite and nonnegative, got {weights}")
+    return weights
+
+
 def fuse_streams(scores: list[np.ndarray], weights: list[float] | None = None) -> np.ndarray:
     """Weighted sum of per-stream class distributions, renormalized to sum 1."""
     if not scores:
         raise ConfigError("no streams to fuse")
-    if weights is None:
-        weights = [1.0] * len(scores)
-    if len(weights) != len(scores):
-        raise ConfigError(f"{len(scores)} streams but {len(weights)} weights")
-    if any(w < 0 for w in weights):
-        raise ConfigError("fusion weights must be nonnegative")
+    weights = fusion_weights(weights, len(scores))
     shape = np.asarray(scores[0]).shape
     fused = np.zeros(shape, dtype=np.float64)
     for w, s in zip(weights, scores):
@@ -366,6 +377,20 @@ def fuse_streams(scores: list[np.ndarray], weights: list[float] | None = None) -
             raise ShapeError(f"stream shapes differ: {s.shape} vs {shape}")
         fused += w * s
     total = fused.sum()
+    if not np.isfinite(total):
+        raise ConfigError("fusion weights too large: their weighted sum overflows")
     if total <= 0:
         raise ConfigError("fusion weights sum to zero; nothing to normalize")
     return fused / total
+
+
+def fused_accuracy(per_stream_scores: list[list[np.ndarray]], labels: list[int],
+                   weights: list[float] | None = None) -> float:
+    """Top-1 accuracy of the fused scores; per_stream_scores[k][i] is stream k on sample i."""
+    if not labels:
+        raise DataError("no samples to score")
+    correct = sum(
+        int(np.argmax(fuse_streams([scores[i] for scores in per_stream_scores], weights))) == label
+        for i, label in enumerate(labels)
+    )
+    return correct / len(labels)

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from tegraph.ablate import MODALITY_COMBOS
 from tegraph.cli import (
     gather_options,
     main,
@@ -351,6 +352,27 @@ def test_fuse_argument_validation(trained_dir, dataset_dir):
                  "--weights", "1,2"]) == 2
 
 
+@pytest.mark.parametrize("weights", ["a,1", "1,", "nan,1", "1,inf", "-1,1"])
+def test_fuse_rejects_bad_weights(trained_dir, dataset_dir, capsys, weights):
+    ckpt = str(trained_dir / "checkpoint.tegc")
+    code = main(["fuse", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--stream", f"joint-spatial={ckpt}",
+                 "--stream", f"bone-spatial={ckpt}",
+                 f"--weights={weights}"])
+    assert code == 2
+    assert "fusion weights must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["lr", "decay_factor", "weight_decay"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_train_rejects_non_finite_rates_before_any_work(tmp_path, dataset_dir, key, value):
+    out = tmp_path / "out"
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, "--set", f"{key}={value}"])
+    assert code == 2
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # gradcheck / ablate / dump-adjacency
 
@@ -378,6 +400,21 @@ def test_ablate_heads_suite(tmp_path, dataset_dir):
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 4, 8]
     for r in rows[1:]:
         assert 0.0 <= float(r[1]) <= 1.0
+
+
+def test_ablate_modalities_suite(tmp_path, dataset_dir):
+    out = tmp_path / "modalities.csv"
+    options = [o if o != "epochs=2" else "epochs=1" for o in TRAIN_OPTIONS]
+    code = main(["ablate", "--suite", "modalities",
+                 "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *options])
+    assert code == 0
+    with open(out, newline="") as stream:
+        rows = list(csv.reader(stream))
+    assert rows[0] == ["modalities", "top1"]
+    assert [r[0] for r in rows[1:]] == ["+".join(combo) for combo in MODALITY_COMBOS]
+    for r in rows[1:]:
+        assert float(r[1]) in (0.0, 0.25, 0.5, 0.75, 1.0)  # 4 eval samples
 
 
 def test_dump_adjacency(tmp_path, dataset_dir):

@@ -4,7 +4,8 @@ The CLI default model (the nine-layer backbone, float64, two bodies, 300
 frames, 25 joints) must train on a machine with a few GB of memory.  The
 child process caps its own address space before importing numpy, so any
 regression in what the forward keeps alive for backward shows up here as
-a MemoryError rather than as swapping.
+a MemoryError rather than as swapping.  It sets the heap policy that
+`tegraph.cli.main` sets, so the budget holds as the CLI runs.
 """
 import json
 import os
@@ -20,9 +21,11 @@ CHILD = f"""
 import json, resource
 resource.setrlimit(resource.RLIMIT_AS, ({LIMIT_BYTES}, {LIMIT_BYTES}))
 import numpy as np
+from tegraph.cli import _keep_heap_mapped
 from tegraph.model import Network, backbone_config
 from tegraph.tensor import Tape
 
+_keep_heap_mapped()
 network = Network(backbone_config(60))
 config = network.config
 shape = (3, config.fixed_length, config.num_joints, config.max_bodies)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tegraph import precision
-from tegraph.errors import ConfigError, ShapeError
+from tegraph.errors import ConfigError, DataError, ShapeError
 from tegraph.graph import chain_graph, permute_joints
 from tegraph.model import (
     BACKBONE_CHANNELS,
@@ -13,6 +13,7 @@ from tegraph.model import (
     backbone_config,
     build_graph,
     fuse_streams,
+    fused_accuracy,
 )
 from tegraph.tensor import Tape, Tensor
 
@@ -296,7 +297,24 @@ def test_fusion_validation():
         fuse_streams([np.ones(2)], [1.0, 2.0])
     with pytest.raises(ConfigError):
         fuse_streams([np.ones(2)], [-1.0])
+    with pytest.raises(ConfigError, match="finite"):
+        fuse_streams([np.ones(2), np.ones(2)], [float("nan"), 1.0])
+    with pytest.raises(ConfigError, match="overflows"), np.errstate(over="ignore"):
+        fuse_streams([np.ones(2), np.ones(2)], [1e308, 1e308])
     with pytest.raises(ShapeError):
         fuse_streams([np.ones(2), np.ones(3)])
     with pytest.raises(ConfigError, match="zero"):
         fuse_streams([np.ones(2)], [0.0])
+
+
+def test_fused_accuracy_counts_fused_argmax_hits():
+    a = [np.array([0.6, 0.4]), np.array([0.6, 0.4]), np.array([0.1, 0.9])]
+    b = [np.array([0.2, 0.8]), np.array([0.9, 0.1]), np.array([0.3, 0.7])]
+    # fused: [0.4, 0.6] -> 1, [0.75, 0.25] -> 0, [0.2, 0.8] -> 1
+    assert fused_accuracy([a, b], [1, 1, 1]) == pytest.approx(2 / 3)
+    # b alone decides with weights 0, 1: argmaxes 1, 0, 1
+    assert fused_accuracy([a, b], [1, 0, 0], [0.0, 1.0]) == pytest.approx(2 / 3)
+    with pytest.raises(ConfigError, match="finite"):
+        fused_accuracy([a, b], [1, 1, 1], [1.0, float("nan")])
+    with pytest.raises(DataError):
+        fused_accuracy([[], []], [])

@@ -68,6 +68,13 @@ def test_train_config_validation():
         TrainConfig(weight_decay=-1e-4)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["learning_rate", "decay_factor", "weight_decay"])
+def test_train_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        TrainConfig(**{field: value})
+
+
 def test_lr_schedule_hits_exact_decimal_values():
     config = TrainConfig(learning_rate=0.1, decay_epochs=(40, 80, 120),
                          decay_factor=0.1)
