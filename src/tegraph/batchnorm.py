@@ -7,6 +7,16 @@ one place the chain rule is genuinely error-prone, so it gets its own
 gradient-check entry.  Its rule keeps the normalized input `xhat` and the
 per-channel scale, never x itself.
 
+Each statistic is computed once and bit for bit as numpy's own `mean` and
+`var` compute it: a sum divided by an `np.intp` count through `out=` into
+the input's dtype (`_divide`).  A float32 sum divided by an intp runs in
+float64; `out=` rounds the quotient back to float32 once, where a plain
+division would leave a float64 mean and change every float32 result after
+it.  The forward pass centers x once, squares the centered array for the
+variance and then scales it into `xhat` in place; the backward pass reuses
+the sum of dy for its mean and forms dy * xhat once for both its sum and
+its mean.  The three gradients are fresh arrays handed to their cells.
+
 Statistics reduce over every axis except axis 0; an input of shape
 (C, T, J) is normalized per channel over all frames and joints.  Variance is
 the population variance (ddof=0) both for normalization and for the running
@@ -15,11 +25,18 @@ to train mode.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import init, precision
 from .errors import ShapeError
 from .tensor import Parameter, Tensor, _accumulate, _check_finite, active_tape
+
+
+def _divide(total: np.ndarray, count: np.intp) -> np.ndarray:
+    """total / count in place, rounded as np.mean and np.var round it."""
+    return np.true_divide(total, count, out=total, casting="unsafe")
 
 
 def batchnorm(
@@ -43,20 +60,25 @@ def batchnorm(
     axes = tuple(range(1, x.data.ndim))
     bshape = (channels,) + (1,) * (x.data.ndim - 1)
 
+    count = np.intp(math.prod(x.shape[1:]))
+
     if training:
-        mean = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        mean = _divide(x.data.sum(axis=axes, keepdims=True), count)
+        xhat = x.data - mean
+        var = _divide(np.square(xhat).sum(axis=axes), count)
         running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
+        running_mean += momentum * mean.reshape(channels)
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mean = running_mean
         var = running_var
+        xhat = x.data - running_mean.reshape(bshape)
 
     sigma = np.sqrt(var + eps)
-    xhat = (x.data - mean.reshape(bshape)) / sigma.reshape(bshape)
-    out = Tensor(gamma.data.reshape(bshape) * xhat + beta.data.reshape(bshape))
+    xhat /= sigma.reshape(bshape)
+    out_data = gamma.data.reshape(bshape) * xhat
+    out_data += beta.data.reshape(bshape)
+    out = Tensor(out_data)
     _check_finite(out.data, "batchnorm")
 
     tape = active_tape()
@@ -68,15 +90,22 @@ def batchnorm(
             if out_cell.grad is None:
                 return
             dy = out_cell.grad
-            _accumulate(beta_cell, dy.sum(axis=axes))
-            _accumulate(gamma_cell, (dy * xhat).sum(axis=axes))
+            d_beta = dy.sum(axis=axes)
+            dy_xhat = dy * xhat
+            d_gamma = dy_xhat.sum(axis=axes)
             if training:
-                # Batch statistics depend on x, hence the two centering terms.
-                m_dy = dy.mean(axis=axes).reshape(bshape)
-                m_dy_xhat = (dy * xhat).mean(axis=axes).reshape(bshape)
-                _accumulate(x_cell, inv_sigma * (dy - m_dy - xhat * m_dy_xhat))
+                # Batch statistics depend on x, hence the two centering terms:
+                # inv_sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
+                m_dy = _divide(d_beta.copy(), count).reshape(bshape)
+                m_dy_xhat = _divide(d_gamma.copy(), count).reshape(bshape)
+                dx = dy - m_dy
+                dx -= np.multiply(xhat, m_dy_xhat, out=dy_xhat)
+                dx *= inv_sigma
             else:
-                _accumulate(x_cell, inv_sigma * dy)
+                dx = inv_sigma * dy
+            _accumulate(beta_cell, d_beta, fresh=True)
+            _accumulate(gamma_cell, d_gamma, fresh=True)
+            _accumulate(x_cell, dx, fresh=True)
 
         tape.record(rule)
     return out

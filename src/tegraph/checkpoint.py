@@ -81,7 +81,7 @@ def load_checkpoint(path) -> tuple[dict, dict[tuple[str, str], np.ndarray]]:
             raise DataError(f"{path}: truncated checkpoint manifest")
         try:
             manifest = json.loads(blob)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DataError(f"{path}: bad checkpoint manifest: {exc}")
         if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_NAME:
             raise DataError(f"{path}: not a checkpoint file")

@@ -45,8 +45,12 @@ log = logging.getLogger("tegraph")
 
 
 def parse_kv_file(path) -> dict[str, str]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}")
     options: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -178,7 +182,11 @@ def cmd_preprocess(args) -> int:
             hi=args.motion_hi, max_bodies=args.bodies,
         )
     elif source.suffix == ".json":
-        labeled, graph = generate_synthetic(json.loads(source.read_text()))
+        try:
+            spec = json.loads(source.read_bytes())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DataError(f"{source}: bad JSON spec: {exc}")
+        labeled, graph = generate_synthetic(spec)
     else:
         raise ConfigError(f"{source}: expected a directory of .skeleton files or a .json spec")
     manifest = write_dataset(args.out, labeled, graph)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 from pathlib import Path
 
@@ -43,6 +44,13 @@ from .tensorio import load_tensor, save_tensor
 log = logging.getLogger("tegraph.dataset")
 
 MANIFEST_NAME = "manifest.jsonl"
+
+
+def _read_utf8(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}")
 
 
 def label_from_filename(name: str) -> int:
@@ -70,7 +78,7 @@ def preprocess_skeleton_dir(src_dir, fixed_length: int, split: str = "train",
     out = []
     for path in paths:
         label = label_from_filename(path.name)
-        clip = parse_skeleton_file(path.read_text(), source_id=path.name)
+        clip = parse_skeleton_file(_read_utf8(path), source_id=path.name)
         try:
             clip = filter_bodies(clip, lo, hi, max_bodies)
         except EmptyClipError as exc:
@@ -84,24 +92,45 @@ def preprocess_skeleton_dir(src_dir, fixed_length: int, split: str = "train",
     return out, graph
 
 
+def _spec_field(block: dict, where: str, key: str, default, cast, minimum):
+    value = block.get(key, default)
+    try:
+        number = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if isinstance(value, bool) or (isinstance(value, float) and number != value):
+        number = None  # true is not a count, and 7.9 frames are not 7
+    if number is None or not minimum <= number < math.inf:
+        raise ConfigError(f"synthetic spec: {where} field {key!r} = {value!r} is not "
+                          f"a finite {cast.__name__} >= {minimum}")
+    return number
+
+
 def generate_synthetic(spec: dict) -> tuple[list[tuple[SkeletonSequence, str]], SkeletonGraph]:
+    if not isinstance(spec, dict):
+        raise DataError("synthetic spec is not a JSON object")
     sets = spec.get("sets", [spec])
+    if not isinstance(sets, list) or not sets:
+        raise ConfigError(f"synthetic spec: field 'sets' = {sets!r} is not a non-empty list")
     out: list[tuple[SkeletonSequence, str]] = []
     joints = None
-    for block in sets:
+    for n, block in enumerate(sets):
+        where = f"set {n}"
+        if not isinstance(block, dict):
+            raise ConfigError(f"synthetic spec: {where} is not an object")
         kind = block.get("generator", "templates")
-        block_joints = int(block.get("joints", 5))
+        block_joints = _spec_field(block, where, "joints", 5, int, 1)
         if joints is None:
             joints = block_joints
         elif joints != block_joints:
             raise ConfigError("all synthetic sets must agree on the joint count")
         split = str(block.get("split", "train"))
-        frames = int(block.get("frames", 32))
-        sigma = float(block.get("sigma", 0.05))
-        seed = int(block.get("seed", 0))
-        per_class = int(block.get("samples_per_class", 32))
+        frames = _spec_field(block, where, "frames", 32, int, 1)
+        sigma = _spec_field(block, where, "sigma", 0.05, float, 0)
+        seed = _spec_field(block, where, "seed", 0, int, 0)
+        per_class = _spec_field(block, where, "samples_per_class", 32, int, 1)
         if kind == "templates":
-            samples = synth_dataset(int(block.get("classes", 4)), per_class,
+            samples = synth_dataset(_spec_field(block, where, "classes", 4, int, 2), per_class,
                                     block_joints, frames, sigma, seed)
         elif kind == "longrange":
             samples = synth_longrange_dataset(per_class, block_joints, frames,
@@ -167,7 +196,7 @@ def read_manifest(manifest_path) -> list[dict]:
     if not manifest_path.exists():
         raise DataError(f"{manifest_path}: manifest not found")
     records = []
-    for i, line in enumerate(manifest_path.read_text().splitlines(), start=1):
+    for i, line in enumerate(_read_utf8(manifest_path).splitlines(), start=1):
         if not line.strip():
             continue
         try:

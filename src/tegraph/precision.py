@@ -12,6 +12,8 @@ import contextlib
 
 import numpy as np
 
+from .errors import ConfigError
+
 _MODES = {"verify": np.float64, "train": np.float32}
 _dtype = np.float64
 
@@ -19,7 +21,7 @@ _dtype = np.float64
 def set_mode(mode: str) -> None:
     global _dtype
     if mode not in _MODES:
-        raise ValueError(f"unknown precision mode {mode!r}; expected one of {sorted(_MODES)}")
+        raise ConfigError(f"unknown precision mode {mode!r}; expected one of {sorted(_MODES)}")
     _dtype = _MODES[mode]
 
 

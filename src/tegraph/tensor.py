@@ -24,6 +24,16 @@ normalized input, and the three fused ops their inputs.  Every other
 intermediate is freed as soon as the forward pass drops it, while the tape
 is still live.
 
+Handover: a cell copies its first contribution, so that a later `+=` cannot
+write through a view into another buffer, except where the rule has just
+computed the array and nothing else can reach it.  Those arrays are handed
+to the cell as they are (`_accumulate(..., fresh=True)`): the results of
+`matmul`, `mul`, `scale`, `relu`, `softmax_rows` and `batchnorm`, the input
+gradient of `spatial_graph_conv` and the input-gradient slice of
+`temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
+sums pass on views of their output's gradient or `broadcast_to` views, so
+they keep copying.
+
 Concurrency: the package starts no threads.  Operations never mutate
 tensors, and the tape stack is thread-local, so a Tape must stay confined
 to the thread that created it.  Cells are written without a lock: two
@@ -223,9 +233,11 @@ class Tape:
             records.pop()()
 
 
-def _accumulate(cell: GradCell, g: np.ndarray) -> None:
+def _accumulate(cell: GradCell, g: np.ndarray, fresh: bool = False) -> None:
+    """Add `g` to the cell's gradient; a `fresh` first contribution is kept
+    uncopied (see "Handover" in the module docstring)."""
     if cell.grad is None:
-        cell.grad = np.array(g)  # own the buffer so later += cannot alias
+        cell.grad = g if fresh else np.array(g)
     else:
         cell.grad += g
 
@@ -272,8 +284,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            _accumulate(a_cell, out_cell.grad @ b_data.T)
-            _accumulate(b_cell, a_data.T @ out_cell.grad)
+            _accumulate(a_cell, out_cell.grad @ b_data.T, fresh=True)
+            _accumulate(b_cell, a_data.T @ out_cell.grad, fresh=True)
 
         tape.record(rule)
     return out
@@ -294,7 +306,7 @@ def softmax_rows(m: Tensor) -> Tensor:
             if out_cell.grad is None:
                 return
             g = out_cell.grad
-            _accumulate(m_cell, s * (g - np.sum(g * s, axis=1, keepdims=True)))
+            _accumulate(m_cell, s * (g - np.sum(g * s, axis=1, keepdims=True)), fresh=True)
 
         tape.record(rule)
     return out
@@ -374,8 +386,8 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            _accumulate(a_cell, out_cell.grad * b_data)
-            _accumulate(b_cell, out_cell.grad * a_data)
+            _accumulate(a_cell, out_cell.grad * b_data, fresh=True)
+            _accumulate(b_cell, out_cell.grad * a_data, fresh=True)
 
         tape.record(rule)
     return out
@@ -391,7 +403,7 @@ def scale(a: Tensor, s: float) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            _accumulate(a_cell, out_cell.grad * s)
+            _accumulate(a_cell, out_cell.grad * s, fresh=True)
 
         tape.record(rule)
     return out
@@ -407,7 +419,7 @@ def relu(a: Tensor) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            _accumulate(a_cell, out_cell.grad * mask)
+            _accumulate(a_cell, out_cell.grad * mask, fresh=True)
 
         tape.record(rule)
     return out
@@ -500,9 +512,12 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
 
     Zero padding `pad` on both ends of T, T_out = (T + 2 pad - K) // stride + 1.
     The arithmetic is exactly that of the unfused pad/slice/matmul/add chain:
-    tap k of every window is one contiguous (C_in, T_out * J) block
-    multiplied by kernel[:, :, k], and the taps are summed in order k = 0..K-1.
-    The backward rule rebuilds the taps from `x` instead of keeping them.
+    tap k of every window is one (C_in, T_out * J) block multiplied by
+    kernel[:, :, k], and the taps are summed in order k = 0..K-1.  With
+    stride 1 a tap is a strided view of the padded input that BLAS reads in
+    place, with the same bits as a contiguous copy; larger strides copy it.
+    The backward rule re-pads `x` and rebuilds the taps instead of keeping
+    them.
     """
     if x.data.ndim != 3 or kernel.data.ndim != 3:
         raise ShapeError(f"temporal_conv expects 3-D operands, got {x.shape} and {kernel.shape}")
@@ -521,6 +536,8 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     x_data, kernel_data = x.data, kernel.data
 
     def tap(padded: np.ndarray, k: int) -> np.ndarray:
+        if stride == 1:  # a strided (C_in, T_out * J) block BLAS reads in place
+            return padded.reshape(c_in, -1)[:, k * joints:(k + out_frames) * joints]
         return np.ascontiguousarray(padded[:, k:k + span:stride]).reshape(c_in, -1)
 
     def weight(k: int) -> np.ndarray:
@@ -548,7 +565,7 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
                 d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
                     c_in, out_frames, joints)
             _accumulate(kernel_cell, d_kernel)
-            _accumulate(x_cell, d_padded[:, pad:pad + frames])
+            _accumulate(x_cell, d_padded[:, pad:pad + frames], fresh=True)
 
         tape.record(rule)
     return out
@@ -610,7 +627,8 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor],
                 _accumulate(a_cells[k], (channel_map(k).T @ g).T)
                 d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
                 _accumulate(w_cells[k], d_map @ flat.T)
-                _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints))
+                _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
+                            fresh=True)
 
         tape.record(rule)
     return out

@@ -15,6 +15,7 @@ payload length.
 from __future__ import annotations
 
 import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -69,10 +70,11 @@ def read_tensor(stream: BinaryIO) -> np.ndarray:
     if flag not in _FLAG_TO_DTYPE:
         raise DataError(f"unknown element type flag {flag}")
     dtype = _FLAG_TO_DTYPE[flag]
-    count = 1
-    for dim in dims:
-        count *= dim
-    nbytes = count * dtype.itemsize
+    # numpy caps the bytes spanned by the non-zero dims at intp, even where
+    # a zero dim leaves the array empty.
+    if dtype.itemsize * math.prod(max(dim, 1) for dim in dims) > np.iinfo(np.intp).max:
+        raise DataError(f"tensor dims {dims} declare a payload larger than numpy can hold")
+    nbytes = math.prod(dims) * dtype.itemsize
     if stream.seekable():  # reject huge dims before asking read() for them
         here = stream.tell()
         left = stream.seek(0, io.SEEK_END) - here

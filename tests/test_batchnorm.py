@@ -2,10 +2,11 @@
 import numpy as np
 import pytest
 
+from tegraph import precision
 from tegraph.batchnorm import BatchNorm, batchnorm
 from tegraph.errors import ShapeError
 from tegraph.gradcheck import grad_check
-from tegraph.tensor import Tensor, sum_all, mul
+from tegraph.tensor import Parameter, Tape, Tensor, mul, sum_all
 
 
 def fresh(channels):
@@ -103,3 +104,70 @@ def test_backward_matches_finite_differences(training):
 
     result = grad_check(f, [("x", x), ("gamma", gamma), ("beta", beta)])
     assert result.ok, str(result)
+
+
+def reference_batchnorm(x, gamma, beta, running_mean, running_var, training, dy,
+                        eps=1e-5, momentum=0.1):
+    """The textbook formulas, one numpy expression each: (out, xhat, dx, dgamma, dbeta)."""
+    axes = tuple(range(1, x.ndim))
+    bshape = (x.shape[0],) + (1,) * (x.ndim - 1)
+    if training:
+        mean = x.mean(axis=axes)
+        var = x.var(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean, var = running_mean, running_var
+    sigma = np.sqrt(var + eps)
+    xhat = (x - mean.reshape(bshape)) / sigma.reshape(bshape)
+    out = gamma.reshape(bshape) * xhat + beta.reshape(bshape)
+    inv_sigma = (gamma / sigma).reshape(bshape)
+    if training:
+        m_dy = dy.mean(axis=axes).reshape(bshape)
+        m_dy_xhat = (dy * xhat).mean(axis=axes).reshape(bshape)
+        dx = inv_sigma * (dy - m_dy - xhat * m_dy_xhat)
+    else:
+        dx = inv_sigma * dy
+    return out, xhat, dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
+
+
+def closed_over(rule, name):
+    return dict(zip(rule.__code__.co_freevars,
+                    (cell.cell_contents for cell in rule.__closure__)))[name]
+
+
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("shape", [(4, 37), (5, 30, 7)])
+@pytest.mark.parametrize("prior_grad", [False, True])
+def test_matches_the_reference_formulas_bit_for_bit(mode, training, shape, prior_grad):
+    rng = np.random.default_rng(len(shape) * 10 + training)
+    channels = shape[0]
+    with precision.scoped_mode(mode):
+        dtype = precision.dtype()
+        x_data = rng.normal(loc=1.5, scale=3.0, size=shape).astype(dtype)
+        dy = rng.normal(size=shape).astype(dtype)
+        gamma = Parameter(rng.normal(size=channels) + 1.0, "bn.gamma")
+        beta = Parameter(rng.normal(size=channels), "bn.beta")
+        buffers = [rng.normal(size=channels).astype(dtype),
+                   rng.uniform(0.5, 2.0, size=channels).astype(dtype)]
+        expected_buffers = [b.copy() for b in buffers]
+        x = Tensor(x_data)
+        prior = rng.normal(size=shape).astype(dtype)
+        if prior_grad:
+            x.grad = prior.copy()
+        with Tape() as tape:
+            out = batchnorm(x, gamma.value, beta.value, *buffers, training)
+            xhat = closed_over(tape._records[0], "xhat")
+            tape.backward(out, seed=dy)
+        want = reference_batchnorm(x_data, gamma.value.data, beta.value.data,
+                                   *expected_buffers, training, dy)
+    want_dx = prior + want[2] if prior_grad else want[2]
+    got = (out.data, xhat, x.grad, gamma.grad, beta.grad)
+    names = ("output", "xhat", "x grad", "gamma grad", "beta grad")
+    for name, g, w in zip(names, got, (want[0], want[1], want_dx, want[3], want[4])):
+        assert g.dtype == dtype and np.array_equal(g, w), name
+    for got_buffer, want_buffer in zip(buffers, expected_buffers):
+        assert np.array_equal(got_buffer, want_buffer)

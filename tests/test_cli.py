@@ -197,6 +197,42 @@ def test_preprocess_rejects_odd_input(tmp_path):
     assert main(["preprocess", str(stray), "--out", str(out)]) == 2
 
 
+@pytest.mark.parametrize("text,code,message", [
+    ('{"sets": [', 3, "bad JSON spec"),
+    ('[{"generator": "templates"}]', 3, "spec is not a JSON object"),
+    ('{"joints": "x"}', 2, "field 'joints' = 'x'"),
+    ('{"sets": [{"sigma": "nan"}]}', 2, "field 'sigma' = 'nan'"),
+    ('{"sets": [{"frames": -3}]}', 2, "field 'frames' = -3"),
+    ('{"sets": [{"frames": 7.9}]}', 2, "field 'frames' = 7.9"),
+    ('{"joints": true}', 2, "field 'joints' = True"),
+    ('{"sets": [7]}', 2, "set 0 is not an object"),
+    ('{"sets": []}', 2, "field 'sets'"),
+])
+def test_preprocess_malformed_spec(tmp_path, capsys, text, code, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(["preprocess", str(spec), "--out", str(tmp_path / "data")]) == code
+    assert message in capsys.readouterr().err
+
+
+NOT_UTF8 = b"\xff\xfe not text \x80\n"
+
+
+def test_preprocess_spec_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(NOT_UTF8)
+    assert main(["preprocess", str(spec), "--out", str(tmp_path / "data")]) == 3
+    assert "spec.json: bad JSON spec" in capsys.readouterr().err
+
+
+def test_preprocess_capture_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A001.skeleton").write_bytes(NOT_UTF8)
+    assert main(["preprocess", str(src), "--out", str(tmp_path / "data")]) == 3
+    assert "S001C001P001R001A001.skeleton: not UTF-8 text" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # train / eval / fuse
 
@@ -329,6 +365,33 @@ def test_train_malformed_manifest_is_data_error(tmp_path, capsys, line, message)
                  "--single-thread", *TRAIN_OPTIONS])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def test_train_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_bytes(NOT_UTF8)
+    code = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                 *TRAIN_OPTIONS])
+    assert code == 3
+    assert "manifest.jsonl: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_train_config_file_that_is_not_utf8_is_config_error(tmp_path, dataset_dir, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(NOT_UTF8)
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "run"), "--config", str(config)])
+    assert code == 2
+    assert "run.conf: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_train_unknown_precision_is_config_error(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, "--set", "precision=foo"])
+    assert code == 2
+    assert "unknown precision mode 'foo'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fuse_two_streams(trained_dir, dataset_dir, capsys):

@@ -167,3 +167,49 @@ def test_capture_scale_sample_peak_memory(replace_all, bound_mb):
             tracemalloc.stop()
     assert all(np.isfinite(p.grad).all() for p in network.parameters())
     assert peak / 2**20 < bound_mb, f"traced peak {peak / 2**20:.0f} MB"
+
+
+def assert_no_gradient_aliases(tensors):
+    """No gradient buffer shares memory with another cell's gradient or any data."""
+    cells = {id(t.cell): t.cell for t in tensors}.values()
+    grads = [cell.grad for cell in cells if cell.grad is not None]
+    datas = [t.data for t in tensors]
+    for n, grad in enumerate(grads):
+        for other in grads[n + 1:] + datas:
+            assert not np.shares_memory(grad, other)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_no_gradient_aliases_another_buffer_after_an_op(name):
+    build, call, _ = CASES[name]
+    rng = np.random.default_rng(6)
+    tensors = build(rng)
+    with Tape() as tape:
+        tensors["out"] = call(tensors)
+        tensors["loss"] = sum_all(scale(tensors["out"], 0.5))
+    tape.backward(tensors["loss"])
+    assert all(t.grad is not None for t in tensors.values())
+    assert_no_gradient_aliases(list(tensors.values()))
+
+
+@pytest.mark.parametrize("replace_all", [False, True])
+def test_no_gradient_aliases_another_buffer_in_a_network(monkeypatch, replace_all):
+    created = []
+    init = Tensor.__init__
+
+    def recording_init(self, data):
+        init(self, data)
+        created.append(self)
+
+    network = Network(backbone_config(3, fixed_length=8, max_bodies=2,
+                                      replace_all=replace_all))
+    network.set_training(True)
+    sample = np.random.default_rng(7).normal(size=(3, 8, 25, 2))
+    monkeypatch.setattr(Tensor, "__init__", recording_init)
+    with Tape() as tape:
+        loss = network.loss(network.forward_sample(sample), 1)
+    monkeypatch.undo()
+    tape.backward(loss)
+    tensors = created + [p.value for p in network.parameters()]
+    assert sum(t.grad is not None for t in created) > 100
+    assert_no_gradient_aliases(tensors)

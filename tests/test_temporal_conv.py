@@ -48,6 +48,7 @@ CASES = [
     (2, 2, 1, 3, 3, 1),   # T = 1
     (2, 2, 1, 3, 9, 2),   # T = 1 < stride
     (3, 3, 2, 2, 3, 3),   # 1 < T < stride
+    (16, 24, 40, 5, 9, 1),  # backbone-like: stride-1 taps read in place by BLAS
 ]
 
 
