@@ -148,6 +148,9 @@ class BatchNorm:
 
     def load_buffer(self, name: str, data: np.ndarray) -> None:
         data = np.asarray(data, dtype=precision.dtype()).copy()
+        if data.shape != (self.channels,):
+            raise ShapeError(f"buffer {name}: shape {data.shape} does not match "
+                             f"{self.channels} channels")
         if name.endswith(".running_mean"):
             self.running_mean = data
         elif name.endswith(".running_var"):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ShapeError
 from .model import ModelConfig, Network
 from .tensorio import read_tensor, write_tensor
 
@@ -139,5 +139,10 @@ def network_from_checkpoint(path) -> tuple[Network, dict, dict[str, np.ndarray]]
         network = Network(ModelConfig.from_dict(manifest["config"]))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"{path}: bad checkpoint config: {exc!r}")
-    momentum = restore_network(network, manifest, tensors)
+    try:
+        momentum = restore_network(network, manifest, tensors)
+    except (ConfigError, ShapeError) as exc:
+        # The network was built from the file's own config, so an entry that
+        # is missing or misshapen is a fault of the file.
+        raise DataError(f"{path}: {exc}")
     return network, manifest, momentum

@@ -4,10 +4,13 @@ Subcommands: preprocess, train, eval, fuse, gradcheck, ablate,
 dump-adjacency.  Options come from a flat key=value config file with
 per-invocation `--set key=value` overrides; see README for the key list.
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
-No subcommand fans work out over Python threads, so every run is
-bit-reproducible for a fixed seed; --single-thread is still accepted and
-changes nothing.  main() first keeps freed heap memory mapped on glibc
-(`_keep_heap_mapped`), which saves page faults and changes no result.
+Training runs on one Python thread; evaluation spreads large samples over
+as many threads as OpenBLAS has (`training.predict_logits`), in input
+order, so every run is bit-reproducible for a fixed seed on hosts with the
+same BLAS thread count.  `train` and `eval` log that count.  --single-thread
+is still accepted and changes nothing.  main() first keeps freed heap
+memory mapped on glibc (`_keep_heap_mapped`), which saves page faults and
+changes no result.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .errors import ConfigError, DataError, NumericError, TegraphError
 from .gradcheck import OP_CHECKS, check_all_ops
 from .model import LayerSpec, ModelConfig, Network, backbone_config, fused_accuracy, fusion_weights
 from .tensorio import save_tensor
-from .training import TrainConfig, evaluate, score_streams, train
+from .training import TrainConfig, blas_threads, eval_workers, evaluate, score_streams, train
 
 log = logging.getLogger("tegraph")
 
@@ -170,6 +173,23 @@ def apply_precision(options: dict[str, str]) -> None:
     precision.set_mode(_get(options, "precision", precision.mode(), str))
 
 
+def log_blas(network: Network) -> None:
+    """Log the BLAS, its thread count and the evaluation worker count.
+
+    Capture-scale GEMMs round differently in the last bits on one and on two
+    OpenBLAS threads, so two runs' bytes are comparable only when this line
+    agrees.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 has no mode="dicts"
+        blas = {}
+    threads = blas_threads()
+    log.info("blas %s %s, %s threads; evaluation on %d worker(s)",
+             blas.get("name", "unknown"), blas.get("version", "unknown"),
+             "unknown" if threads is None else threads, eval_workers(network))
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -204,6 +224,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     network = Network(model_config)
+    log_blas(network)
     history = train(
         network, train_set, eval_set or None, tconfig,
         metrics_path=out_dir / "metrics.jsonl",
@@ -222,6 +243,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     network, manifest, _ = network_from_checkpoint(args.checkpoint)
     dataset = load_split(args.data, args.modality, args.split)
+    log_blas(network)
     result = evaluate(network, dataset)
     print(f"top-1 accuracy {result.accuracy:.4f} on {len(dataset)} samples")
     return 0
@@ -317,10 +339,13 @@ def _keep_heap_mapped() -> None:
     maps.  With glibc's defaults the freed heap top is returned to the OS
     after every step and page-faulted back in by the next one (about 70k
     minor faults per step).  A 1 GiB trim threshold keeps it; a fixed
-    32 MiB mmap threshold keeps arrays below it in that heap.  Peak RSS
-    does not grow: memory stays at the high-water mark it reached anyway.
-    No arithmetic changes.  Does nothing where the C library has no
-    mallopt (non-glibc hosts).
+    32 MiB mmap threshold keeps arrays below it in that heap.  One arena
+    makes evaluation's worker threads allocate from that same heap too,
+    instead of growing and faulting in an arena of their own each (+34 MB
+    peak RSS in a 2-worker prototype).  Peak RSS does not grow: memory
+    stays at the high-water mark it reached anyway.  No arithmetic
+    changes.  Does nothing where the C library has no mallopt (non-glibc
+    hosts).
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -330,6 +355,7 @@ def _keep_heap_mapped() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at glibc's 64-bit maximum
+    mallopt(-8, 1)         # M_ARENA_MAX
 
 
 def _add_common_run_flags(sub) -> None:
@@ -337,7 +363,8 @@ def _add_common_run_flags(sub) -> None:
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
     sub.add_argument("--single-thread", action="store_true",
-                     help="no effect: every run is sequential and bit-reproducible")
+                     help="no effect: runs are bit-reproducible for a fixed seed; "
+                          "OPENBLAS_NUM_THREADS=1 makes evaluation serial")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -222,6 +222,9 @@ def load_split(manifest_path, kind: str, split: str) -> list[tuple[np.ndarray, i
             continue
         if kind not in rec["files"]:
             raise DataError(f"sample {rec['sample_id']} has no {kind} stream")
-        out.append((load_tensor(base / rec["files"][kind]), int(rec["label"]),
-                    str(rec["sample_id"])))
+        try:
+            data = load_tensor(base / rec["files"][kind])
+        except OSError as exc:
+            raise DataError(f"sample {rec['sample_id']}: cannot read its {kind} stream: {exc}")
+        out.append((data, int(rec["label"]), str(rec["sample_id"])))
     return out

@@ -115,6 +115,9 @@ def parse_skeleton_file(text: str, expected_joints: int | None = None,
                     f"{source_id}: frame {f} body {b} has {joint_count} joints, "
                     f"expected {locked_joints}"
                 )
+            if joint_count > len(lines) - pos:
+                raise ParseError(f"{source_id}: file ended while reading the {joint_count} "
+                                 f"joints of frame {f} body {b}")
             joints = np.zeros((joint_count, 3), dtype=np.float64)
             for j in range(joint_count):
                 line, lineno = next_line(f"joint {j} of frame {f} body {b}")

@@ -34,12 +34,14 @@ gradient of `spatial_graph_conv` and the input-gradient slice of
 sums pass on views of their output's gradient or `broadcast_to` views, so
 they keep copying.
 
-Concurrency: the package starts no threads.  Operations never mutate
-tensors, and the tape stack is thread-local, so a Tape must stay confined
-to the thread that created it.  Cells are written without a lock: two
-tapes reaching the same tensor (every Parameter) must not replay at once,
-and parameter mutation (optimizer steps, gradient zeroing) requires
-exclusive access.
+Concurrency: training runs on the calling thread; only evaluation
+(`training.predict_logits`) forwards samples on worker threads, which
+record no tape and only read parameters and batchnorm buffers.
+Operations never mutate tensors, and the tape stack is thread-local, so a
+Tape must stay confined to the thread that created it.  Cells are written
+without a lock: two tapes reaching the same tensor (every Parameter) must
+not replay at once, and parameter mutation (optimizer steps, gradient
+zeroing) requires exclusive access.
 """
 from __future__ import annotations
 

@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through main(argv)."""
 import csv
 import json
+import logging
 import struct
 from types import SimpleNamespace
 
@@ -16,9 +17,12 @@ from tegraph.cli import (
     parse_layer_specs,
     train_config_from,
 )
+from tegraph.checkpoint import load_checkpoint
 from tegraph.dataset import read_manifest
 from tegraph.errors import ConfigError
 from tegraph.skeleton import Body, RawClip, format_skeleton
+from tegraph.tensorio import write_tensor
+from tegraph.training import blas_threads
 
 SYNTH_SPEC = {
     "sets": [
@@ -346,6 +350,77 @@ def test_eval_malformed_checkpoint_config_is_data_error(dataset_dir, tmp_path, c
                  "--data", str(dataset_dir / "manifest.jsonl")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def rewrite_checkpoint(source, path, edit):
+    """Copy a checkpoint with `edit(manifest, tensors)` applied to its contents."""
+    manifest, tensors = load_checkpoint(source)
+    edit(manifest, tensors)
+    blob = json.dumps(manifest).encode()
+    with open(path, "wb") as stream:
+        stream.write(struct.pack("<I", len(blob)) + blob)
+        for entry in manifest["entries"]:
+            write_tensor(stream, tensors[(entry["id"], entry["kind"])])
+    return path
+
+
+def reshape_entry(entry_id, shape):
+    def edit(manifest, tensors):
+        for entry in manifest["entries"]:
+            if entry["id"] == entry_id and entry["kind"] != "momentum":
+                entry["shape"] = list(shape)
+                tensors[(entry_id, entry["kind"])] = np.zeros(shape)
+    return edit
+
+
+@pytest.mark.parametrize("entry_id,shape", [
+    ("layer1.tc.bn.running_mean", (7,)),
+    ("fc.weight", (5, 5)),
+])
+def test_eval_misshapen_checkpoint_entry_is_data_error(trained_dir, dataset_dir, tmp_path,
+                                                       capsys, entry_id, shape):
+    path = rewrite_checkpoint(trained_dir / "checkpoint.tegc", tmp_path / "bad.tegc",
+                              reshape_entry(entry_id, shape))
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"{entry_id}: " in err and str(shape) in err and "Traceback" not in err
+
+
+def test_eval_checkpoint_with_a_corrupted_entry_id_is_data_error(trained_dir, dataset_dir,
+                                                                 tmp_path, capsys):
+    blob = (trained_dir / "checkpoint.tegc").read_bytes()
+    assert b'"fc.bias"' in blob
+    path = tmp_path / "bad.tegc"
+    path.write_bytes(blob.replace(b'"fc.bias"', b'"fc.bibs"', 1))
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "missing parameter fc.bias" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_log_the_blas_and_worker_count(trained_dir, dataset_dir, tmp_path,
+                                                      caplog, command):
+    data = str(dataset_dir / "manifest.jsonl")
+    if command == "train":
+        argv = ["train", "--data", data, "--out", str(tmp_path / "run"), *TRAIN_OPTIONS]
+    else:
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint.tegc"), "--data", data]
+    with caplog.at_level(logging.INFO, logger="tegraph"):
+        assert main(argv) == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("blas ")]
+    assert len(lines) == 1
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    threads = blas_threads()
+    assert lines[0] == (f"blas {blas['name']} {blas['version']}, "
+                        f"{'unknown' if threads is None else threads} threads; "
+                        "evaluation on 1 worker(s)")
+    if command == "train":
+        metrics = (tmp_path / "run" / "metrics.jsonl").read_text()
+        assert metrics == (trained_dir / "metrics.jsonl").read_text()
 
 
 @pytest.mark.parametrize("line,message", [

@@ -1,8 +1,9 @@
-"""Property tests: any bytes read as a tensor or a checkpoint give a value or a DataError.
+"""Property tests: any bytes read as an input file give a value or a DataError.
 
 Inputs are arbitrary byte strings, tensor headers with arbitrary dims, and
-single-byte mutations of valid `.tegt` and `.tegc` files.  Nothing else may
-escape: the CLI maps DataError to exit 3, and anything else would end in a
+single-byte mutations of valid `.tegt`, `.tegc`, `manifest.jsonl` and
+`.skeleton` files.  Nothing else may escape (a ParseError is a DataError):
+the CLI maps DataError to exit 3, and anything else would end in a
 traceback.
 """
 import io
@@ -16,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tegraph.checkpoint import load_checkpoint, save_checkpoint
-from tegraph.errors import DataError
+from tegraph.dataset import generate_synthetic, load_split, read_manifest, write_dataset
+from tegraph.errors import DataError, ParseError
 from tegraph.model import LayerSpec, ModelConfig, Network
+from tegraph.skeleton import Body, RawClip, format_skeleton, parse_skeleton_file
 from tegraph.tensorio import MAGIC, read_tensor, write_tensor
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -117,3 +120,91 @@ def test_load_checkpoint_on_arbitrary_bytes(blob):
 @given(st.data())
 def test_load_checkpoint_on_single_byte_mutations(data):
     load_or_data_error(mutate(VALID_CHECKPOINT, data))
+
+
+# ---------------------------------------------------------------------------
+# Dataset manifests and skeleton captures
+
+MANIFEST_SPEC = {"sets": [
+    {"generator": "templates", "classes": 2, "samples_per_class": 1, "joints": 3,
+     "frames": 4, "sigma": 0.05, "seed": 1, "split": "train"},
+    {"generator": "templates", "classes": 2, "samples_per_class": 1, "joints": 3,
+     "frames": 4, "sigma": 0.05, "seed": 2, "split": "eval"},
+]}
+
+
+@pytest.fixture(scope="module")
+def dataset(tmp_path_factory):
+    """(dataset directory, bytes of its valid manifest)."""
+    labeled, graph = generate_synthetic(MANIFEST_SPEC)
+    root = tmp_path_factory.mktemp("dataset")
+    return root, write_dataset(root, labeled, graph).read_bytes()
+
+
+def read_or_data_errors(root: Path, blob: bytes) -> None:
+    """Read a manifest with these bytes through both entry points."""
+    path = root / "manifest.jsonl"
+    path.write_bytes(blob)
+    try:
+        assert all(isinstance(rec, dict) for rec in read_manifest(path))
+        for split in ("train", "eval"):
+            for data, label, sample_id in load_split(path, "joint-spatial", split):
+                assert isinstance(data, np.ndarray) and isinstance(label, int)
+    except DataError:
+        pass
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.binary(max_size=160))
+def test_manifest_on_arbitrary_bytes(dataset, blob):
+    read_or_data_errors(dataset[0], blob)
+
+
+@SETTINGS
+@given(st.data())
+def test_manifest_on_single_byte_mutations(dataset, data):
+    root, valid = dataset
+    read_or_data_errors(root, mutate(valid, data))
+
+
+def capture_bytes() -> bytes:
+    rng = np.random.default_rng(0)
+    frames = [[Body("b0", rng.normal(size=(4, 3))), Body("b1", rng.normal(size=(4, 3)))],
+              [Body("b0", rng.normal(size=(4, 3)))]]
+    return format_skeleton(RawClip(frames, "c")).encode("utf-8")
+
+
+VALID_CAPTURE = capture_bytes()
+
+
+def parse_or_parse_error(blob: bytes) -> None:
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return  # the dataset reader turns this into a DataError naming the file
+    try:
+        clip = parse_skeleton_file(text, source_id="c")
+    except ParseError:
+        return
+    assert isinstance(clip, RawClip)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(st.binary(max_size=160), st.text(max_size=80).map(str.encode)))
+def test_skeleton_on_arbitrary_input(blob):
+    parse_or_parse_error(blob)
+
+
+@SETTINGS
+@given(st.data())
+def test_skeleton_on_single_byte_mutations(data):
+    parse_or_parse_error(mutate(VALID_CAPTURE, data))
+
+
+@pytest.mark.parametrize("text", [
+    "1\n1\nb0\n99999999999999\n0 0 0\n",
+    "1\n99999999999999\n",
+])
+def test_skeleton_huge_counts_are_parse_errors(text):
+    with pytest.raises(ParseError, match="file ended"):
+        parse_skeleton_file(text, source_id="c")

@@ -1,8 +1,9 @@
 """The CLI's heap policy: freed memory stays mapped, and no result changes.
 
-`tegraph.cli.main` raises glibc's trim and mmap thresholds before it runs a
-subcommand, so a training step reuses the heap the previous step freed
-instead of page-faulting it back in.  These tests pin the call, its effect
+`tegraph.cli.main` raises glibc's trim and mmap thresholds and keeps one
+malloc arena before it runs a subcommand, so a training step, and an
+evaluation worker thread, reuse the heap the previous step freed instead
+of page-faulting it back in.  These tests pin the call, its effect
 on minor page faults, and that the bytes a run writes do not depend on it.
 """
 import ctypes
@@ -75,6 +76,46 @@ def test_freed_arrays_are_reused_without_page_faults():
     first, second = map(int, _run_child(["-c", FAULTS_CHILD]).stdout.split())
     assert first > 5000, "the first round should fault its pages in"
     assert second < first // 100
+
+
+WORKER_CHILD = """
+import resource
+import threading
+import numpy as np
+from tegraph.cli import _keep_heap_mapped
+
+_keep_heap_mapped()
+
+
+def faults(fn):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    fn()
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def blocks():
+    arrays = [np.ones((mb << 20) // 4, dtype=np.float32) for mb in (2, 3, 4, 5, 6, 7, 8) * 2]
+    del arrays
+
+
+def in_a_worker():
+    worker = threading.Thread(target=blocks)
+    worker.start()
+    worker.join()
+
+
+print(faults(blocks), faults(in_a_worker))
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_worker_threads_reuse_the_heap_the_main_thread_freed():
+    # Evaluation workers allocate feature maps of the sizes the training step
+    # just freed.  With one arena they come from that heap; with glibc's
+    # default each new thread grows an arena of its own and faults it in.
+    main_thread, worker = map(int, _run_child(["-c", WORKER_CHILD]).stdout.split())
+    assert main_thread > 5000, "the first round should fault its pages in"
+    assert worker < main_thread // 100
 
 
 LONGRANGE_SPEC = {"sets": [
