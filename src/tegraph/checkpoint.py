@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import precision
 from .errors import ConfigError, DataError, ShapeError
 from .model import ModelConfig, Network
 from .tensorio import read_tensor, write_tensor
@@ -132,9 +133,17 @@ def restore_network(network: Network, manifest: dict,
 
 
 def network_from_checkpoint(path) -> tuple[Network, dict, dict[str, np.ndarray]]:
+    """Rebuild the saved network, switching the process-global precision to
+    the one its parameters were saved in (float32 "train", float64 "verify").
+    """
     manifest, tensors = load_checkpoint(path)
     if not isinstance(manifest.get("config"), dict):
         raise DataError(f"{path}: checkpoint manifest has no config object")
+    dtypes = {arr.dtype for (_, kind), arr in tensors.items() if kind == "param"}
+    if len(dtypes) > 1:
+        raise DataError(f"{path}: checkpoint mixes parameter dtypes {sorted(map(str, dtypes))}")
+    if dtypes:
+        precision.set_mode("train" if dtypes.pop() == np.float32 else "verify")
     try:
         network = Network(ModelConfig.from_dict(manifest["config"]))
     except (KeyError, TypeError, ValueError, ConfigError) as exc:

@@ -1,16 +1,17 @@
 """Command-line surface.
 
 Subcommands: preprocess, train, eval, fuse, gradcheck, ablate,
-dump-adjacency.  Options come from a flat key=value config file with
-per-invocation `--set key=value` overrides; see README for the key list.
+dump-adjacency.  `train` and `ablate` read a flat key=value config file
+with per-invocation `--set key=value` overrides (see README for the key
+list); a key the run never reads is a configuration error.  The other
+commands take the model and its precision from the checkpoint.
 Exit codes: 0 ok, 2 configuration error, 3 data error, 4 numeric failure.
 Training runs on one Python thread; evaluation spreads large samples over
 as many threads as OpenBLAS has (`training.predict_logits`), in input
 order, so every run is bit-reproducible for a fixed seed on hosts with the
-same BLAS thread count.  `train` and `eval` log that count.  --single-thread
-is still accepted and changes nothing.  main() first keeps freed heap
-memory mapped on glibc (`_keep_heap_mapped`), which saves page faults and
-changes no result.
+same BLAS thread count.  `train` and `eval` log that count.  main() first
+keeps freed heap memory mapped on glibc (`_keep_heap_mapped`), which saves
+page faults and changes no result.
 """
 from __future__ import annotations
 
@@ -69,11 +70,23 @@ def parse_kv_file(path) -> dict[str, str]:
     return options
 
 
-def gather_options(args) -> dict[str, str]:
-    options: dict[str, str] = {}
-    if getattr(args, "config", None):
+class Options(dict):
+    """Config options that remember every key a reader looked up with `in`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.asked: set[str] = set()
+
+    def __contains__(self, key) -> bool:
+        self.asked.add(key)
+        return super().__contains__(key)
+
+
+def gather_options(args) -> Options:
+    options = Options()
+    if args.config:
         options.update(parse_kv_file(args.config))
-    for item in getattr(args, "set", None) or []:
+    for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set needs key=value, got {item!r}")
         key, value = item.split("=", 1)
@@ -169,8 +182,19 @@ def train_config_from(options: dict[str, str]) -> TrainConfig:
     )
 
 
-def apply_precision(options: dict[str, str]) -> None:
+def run_configs(options: Options) -> tuple[ModelConfig, TrainConfig]:
+    """Set the precision and build the model and training configs of a run.
+
+    A key none of them read (a typo, or a key of the other model route)
+    is a configuration error.
+    """
     precision.set_mode(_get(options, "precision", precision.mode(), str))
+    model_config = model_config_from(options)
+    tconfig = train_config_from(options)
+    unread = sorted(set(options) - options.asked)
+    if unread:
+        raise ConfigError(f"config keys not read by this run: {', '.join(unread)}")
+    return model_config, tconfig
 
 
 def log_blas(network: Network) -> None:
@@ -215,10 +239,7 @@ def cmd_preprocess(args) -> int:
 
 
 def cmd_train(args) -> int:
-    options = gather_options(args)
-    apply_precision(options)
-    model_config = model_config_from(options)
-    tconfig = train_config_from(options)
+    model_config, tconfig = run_configs(gather_options(args))
     train_set = load_split(args.data, args.modality, "train")
     eval_set = load_split(args.data, args.modality, "eval")
     out_dir = Path(args.out)
@@ -241,7 +262,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    network, manifest, _ = network_from_checkpoint(args.checkpoint)
+    network, _, _ = network_from_checkpoint(args.checkpoint)
     dataset = load_split(args.data, args.modality, args.split)
     log_blas(network)
     result = evaluate(network, dataset)
@@ -251,7 +272,7 @@ def cmd_eval(args) -> int:
 
 def cmd_fuse(args) -> int:
     streams = []
-    for item in args.stream:
+    for item in args.stream or []:
         if "=" not in item:
             raise ConfigError(f"--stream needs kind=checkpoint, got {item!r}")
         kind, ckpt = item.split("=", 1)
@@ -294,10 +315,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    options = gather_options(args)
-    apply_precision(options)
-    config = model_config_from(options)
-    tconfig = train_config_from(options)
+    config, tconfig = run_configs(gather_options(args))
     header, rows = ablate_suite(args.suite, args.data, config, tconfig, kind=args.modality)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -310,7 +328,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_dump_adjacency(args) -> int:
-    network, manifest, _ = network_from_checkpoint(args.checkpoint)
+    network, _, _ = network_from_checkpoint(args.checkpoint)
     dataset = load_split(args.data, args.modality, args.split)
     if not 0 <= args.sample < len(dataset):
         raise ConfigError(f"sample index {args.sample} outside 0..{len(dataset) - 1}")
@@ -358,13 +376,10 @@ def _keep_heap_mapped() -> None:
     mallopt(-8, 1)         # M_ARENA_MAX
 
 
-def _add_common_run_flags(sub) -> None:
+def _add_option_flags(sub) -> None:
     sub.add_argument("--config", help="key=value options file")
     sub.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override one config key (repeatable)")
-    sub.add_argument("--single-thread", action="store_true",
-                     help="no effect: runs are bit-reproducible for a fixed seed; "
-                          "OPENBLAS_NUM_THREADS=1 makes evaluation serial")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -389,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset manifest.jsonl")
     p.add_argument("--modality", default="joint-spatial", choices=KINDS)
     p.add_argument("--out", required=True, help="output directory for metrics/checkpoints")
-    _add_common_run_flags(p)
+    _add_option_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = commands.add_parser("eval", help="evaluate a checkpoint")
@@ -397,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--modality", default="joint-spatial", choices=KINDS)
     p.add_argument("--split", default="eval")
-    _add_common_run_flags(p)
     p.set_defaults(func=cmd_eval)
 
     p = commands.add_parser("fuse", help="weighted score fusion of modality checkpoints")
@@ -406,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="modality and its checkpoint (repeatable)")
     p.add_argument("--weights", help="comma-separated fusion weights")
     p.add_argument("--split", default="eval")
-    _add_common_run_flags(p)
     p.set_defaults(func=cmd_fuse)
 
     p = commands.add_parser("gradcheck", help="finite-difference check of every op")
@@ -419,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--modality", default="joint-spatial", choices=KINDS)
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common_run_flags(p)
+    _add_option_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = commands.add_parser("dump-adjacency", help="write temporal adjacency matrices")
@@ -429,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", default="eval")
     p.add_argument("--sample", type=int, default=0, help="dataset index to inspect")
     p.add_argument("--out", required=True, help="output directory")
-    _add_common_run_flags(p)
     p.set_defaults(func=cmd_dump_adjacency)
 
     return parser

@@ -165,12 +165,3 @@ def bone_pairs(graph: SkeletonGraph) -> list[tuple[int, int]]:
             )
         pairs.append((sources[0], target))
     return pairs
-
-
-def permute_joints(graph: SkeletonGraph, perm) -> SkeletonGraph:
-    """Relabel joints by `perm` (new index = perm[old index])."""
-    perm = list(perm)
-    if sorted(perm) != list(range(graph.num_joints)):
-        raise GraphError("permutation must relabel every joint exactly once")
-    edges = tuple((perm[a], perm[b]) for a, b in graph.edges)
-    return SkeletonGraph(graph.num_joints, edges, perm[graph.center])

@@ -4,7 +4,8 @@ Two modes exist: "verify" (float64, the default everywhere, the CLI
 included, and the mode every oracle and gradient check uses) and "train"
 (float32, the faster mode, selected with `--set precision=train`).  The
 switch is process-global; set it before building tensors or models, not in
-the middle of a run.
+the middle of a run.  `checkpoint.network_from_checkpoint` sets it to the
+mode the checkpoint was saved in.
 """
 from __future__ import annotations
 

@@ -15,11 +15,11 @@ autodiff machinery, coordinates stay float64 numpy throughout.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, EmptyClipError, ParseError
+from .errors import ConfigError, DataError, EmptyClipError, ParseError
 
 SPINE_JOINT = 1  # mid-spine index in the 25-joint order; the centering anchor
 MAX_BODIES = 2
@@ -54,15 +54,10 @@ class SkeletonSequence:
     data: np.ndarray
     label: int
     source_id: str = ""
-    metadata: dict = field(default_factory=dict)
-
-    @property
-    def fixed_length(self) -> int:
-        return self.data.shape[1]
 
 
 # ---------------------------------------------------------------------------
-# Parsing and emitting
+# Parsing
 
 
 def parse_skeleton_file(text: str, expected_joints: int | None = None,
@@ -140,24 +135,6 @@ def parse_skeleton_file(text: str, expected_joints: int | None = None,
     return RawClip(frames, source_id)
 
 
-def format_skeleton(clip: RawClip) -> str:
-    """Inverse of parse_skeleton_file for the coordinate fields.
-
-    Tracking-state and confidence columns are written as zeros; floats use
-    repr so a parse of the output reproduces the clip bit for bit.
-    """
-    out = [str(len(clip.frames))]
-    for frame in clip.frames:
-        out.append(str(len(frame)))
-        for body in frame:
-            out.append(" ".join([body.body_id] + ["0"] * 9))
-            out.append(str(body.joints.shape[0]))
-            for joint in body.joints:
-                coords = " ".join(repr(float(v)) for v in joint)
-                out.append(coords + " " + " ".join(["0"] * 9))
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Body selection
 
@@ -198,6 +175,11 @@ def rank_bodies(clip: RawClip) -> list[str]:
     return sorted(motions, key=lambda b: (-motions[b], first_seen[b], b))
 
 
+def _check_max_bodies(max_bodies: int) -> None:
+    if max_bodies < 1:
+        raise ConfigError(f"body count must be at least 1, got {max_bodies}")
+
+
 def filter_bodies(clip: RawClip, lo: float = MOTION_RANGE[0], hi: float = MOTION_RANGE[1],
                   max_bodies: int = MAX_BODIES) -> RawClip:
     """Drop implausible bodies by motion value, then cap the body count.
@@ -209,6 +191,7 @@ def filter_bodies(clip: RawClip, lo: float = MOTION_RANGE[0], hi: float = MOTION
     """
     if not lo < hi:
         raise DataError(f"motion range is empty: [{lo}, {hi}]")
+    _check_max_bodies(max_bodies)
     motions = body_motions(clip)
     keep = {b for b, m in motions.items() if lo <= m <= hi}
     if len(keep) > max_bodies:
@@ -251,6 +234,7 @@ def center_and_pad(clip: RawClip, fixed_length: int, spine_joint: int = SPINE_JO
     absent body slots are exactly zero.  Body slots are ordered by decreasing
     motion, so slot 0 is always the primary.
     """
+    _check_max_bodies(max_bodies)
     length = len(clip.frames)
     if length == 0:
         raise EmptyClipError(f"{clip.source_id or 'clip'}: empty clip")

@@ -46,24 +46,15 @@ zeroing) requires exclusive access.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import precision
 from .errors import NumericError, ShapeError
 
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the all-values-finite assertion applied after every op."""
-    global _finite_checks
-    _finite_checks = enabled
-
-
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if _finite_checks and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -115,22 +106,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
 
 
 class Parameter:
@@ -736,16 +711,3 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 def constant(data) -> Tensor:
     """A tensor that participates in the graph but is never trained."""
     return Tensor(np.asarray(data))
-
-
-def collect_parameters(items: Iterable) -> list[Parameter]:
-    """Flatten nested lists/objects exposing `.parameters()` into one list."""
-    out: list[Parameter] = []
-    for item in items:
-        if isinstance(item, Parameter):
-            out.append(item)
-        elif hasattr(item, "parameters"):
-            out.extend(item.parameters())
-        else:
-            out.extend(collect_parameters(item))
-    return out

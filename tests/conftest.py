@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 from tegraph import precision
-from tegraph.tensor import _stack, set_finite_checks
+from tegraph.tensor import _stack
 
 
 @pytest.fixture(autouse=True)
 def verify_precision():
     """Every test starts in 64-bit verify mode with a clean tape stack."""
     precision.set_mode("verify")
-    set_finite_checks(True)
     yield
     assert not _stack(), "a test leaked an open Tape"
     precision.set_mode("verify")

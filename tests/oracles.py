@@ -1,10 +1,41 @@
-"""Scalar brute-force references for the vectorized network blocks.
+"""Scalar brute-force references for the vectorized network blocks, and
+test-only helpers.
 
 Everything here is plain Python loops over float64 numpy scalars; nothing
 imports the autodiff machinery, so agreement with the library is evidence,
 not circularity.
 """
 import numpy as np
+
+from tegraph.errors import GraphError
+from tegraph.graph import SkeletonGraph
+
+
+def format_skeleton(clip) -> str:
+    """Inverse of parse_skeleton_file for the coordinate fields.
+
+    Tracking-state and confidence columns are written as zeros; floats use
+    repr so a parse of the output reproduces the clip bit for bit.
+    """
+    out = [str(len(clip.frames))]
+    for frame in clip.frames:
+        out.append(str(len(frame)))
+        for body in frame:
+            out.append(" ".join([body.body_id] + ["0"] * 9))
+            out.append(str(body.joints.shape[0]))
+            for joint in body.joints:
+                coords = " ".join(repr(float(v)) for v in joint)
+                out.append(coords + " " + " ".join(["0"] * 9))
+    return "\n".join(out) + "\n"
+
+
+def permute_joints(graph: SkeletonGraph, perm) -> SkeletonGraph:
+    """Relabel joints by `perm` (new index = perm[old index])."""
+    perm = list(perm)
+    if sorted(perm) != list(range(graph.num_joints)):
+        raise GraphError("permutation must relabel every joint exactly once")
+    edges = tuple((perm[a], perm[b]) for a, b in graph.edges)
+    return SkeletonGraph(graph.num_joints, edges, perm[graph.center])
 
 
 def sg_oracle(weights, masks, partitions, f):

@@ -14,6 +14,8 @@ import pytest
 from oracles import (
     feature_calculated_oracle,
     feature_learned_oracle,
+    format_skeleton,
+    permute_joints,
     sg_oracle,
     tc_oracle,
     temporal_graph_conv_oracle,
@@ -29,7 +31,6 @@ from tegraph.graph import (
     normalized_partitions,
     ntu_graph,
     partitions,
-    permute_joints,
 )
 from tegraph.model import LayerSpec, ModelConfig, Network, fuse_streams
 from tegraph.skeleton import (
@@ -37,7 +38,6 @@ from tegraph.skeleton import (
     RawClip,
     center_and_pad,
     filter_bodies,
-    format_skeleton,
     parse_skeleton_file,
     subsample_frames,
 )
@@ -347,7 +347,7 @@ def test_criterion_7_schedule_and_fusion():
 
 
 def test_criterion_8_single_thread_determinism(tmp_path):
-    """Two identical `train --single-thread` runs emit identical bytes."""
+    """Two identical `train` runs emit identical bytes."""
     with criterion(8, "byte-identical checkpoints and metrics across reruns"):
         spec = {"sets": [
             {"generator": "templates", "classes": 2, "samples_per_class": 3,
@@ -368,8 +368,7 @@ def test_criterion_8_single_thread_determinism(tmp_path):
         outs = []
         for name in ("first", "second"):
             out = tmp_path / name
-            code = main(["train", "--data", str(manifest), "--out", str(out),
-                         "--single-thread", *options])
+            code = main(["train", "--data", str(manifest), "--out", str(out), *options])
             assert code == 0
             outs.append(out)
         for artifact in ("metrics.jsonl", "checkpoint.tegc", "best.tegc"):

@@ -2,25 +2,33 @@
 import csv
 import json
 import logging
+import re
 import struct
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from oracles import format_skeleton
+import tegraph.cli
+from tegraph import precision
 from tegraph.ablate import MODALITY_COMBOS
 from tegraph.cli import (
+    Options,
+    build_parser,
     gather_options,
     main,
     model_config_from,
     parse_kv_file,
     parse_layer_specs,
+    run_configs,
     train_config_from,
 )
 from tegraph.checkpoint import load_checkpoint
 from tegraph.dataset import read_manifest
 from tegraph.errors import ConfigError
-from tegraph.skeleton import Body, RawClip, format_skeleton
+from tegraph.skeleton import Body, RawClip
 from tegraph.tensorio import write_tensor
 from tegraph.training import blas_threads
 
@@ -64,7 +72,7 @@ def dataset_dir(tmp_path_factory):
 def trained_dir(tmp_path_factory, dataset_dir):
     out = tmp_path_factory.mktemp("run")
     code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
-                 "--out", str(out), "--single-thread", *TRAIN_OPTIONS])
+                 "--out", str(out), *TRAIN_OPTIONS])
     assert code == 0
     return out
 
@@ -154,6 +162,59 @@ def test_train_config_from_options():
         train_config_from({"epochs": "many"})
 
 
+def accepted_keys() -> set[str]:
+    """Every key `train` reads, over both model routes."""
+    keys = set()
+    for route in ({"classes": "2"}, {"classes": "2", "layers": "3:4"}):
+        options = Options(route)
+        run_configs(options)
+        keys |= options.asked
+    return keys
+
+
+def test_readme_key_tables_list_exactly_the_keys_train_reads():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
+    assert documented == accepted_keys()
+
+
+@pytest.mark.parametrize("options,unread", [
+    ({"classes": "2", "lerning_rate": "99"}, "lerning_rate"),
+    ({"classes": "2", "layers": "3:4", "replace_all": "true", "insertion_layer": "42",
+      "insertion_mode": "tc"}, "insertion_layer, insertion_mode, replace_all"),
+    ({"classes": "2", "graph": "chain", "graph_center": "1"}, "graph_center"),
+])
+def test_run_configs_rejects_keys_the_run_never_reads(options, unread):
+    with pytest.raises(ConfigError, match=f"not read by this run: {unread}$"):
+        run_configs(Options(options))
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--data", "m", "--out", "o", "--single-thread"],
+    ["ablate", "--suite", "heads", "--data", "m", "--out", "o", "--single-thread"],
+    ["preprocess", "spec.json", "--out", "o", "--single-thread"],
+    ["eval", "--checkpoint", "c", "--data", "m", "--set", "k=v"],
+    ["eval", "--checkpoint", "c", "--data", "m", "--config", "run.conf"],
+    ["fuse", "--data", "m", "--set", "precision=train"],
+    ["dump-adjacency", "--checkpoint", "c", "--data", "m", "--out", "o", "--set", "k=v"],
+])
+def test_parser_rejects_options_a_subcommand_does_not_use(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_parser_argument_count():
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command").choices
+    counts = {name: sum(1 for a in sub._actions if a.dest != "help")
+              for name, sub in subparsers.items()}
+    assert counts == {"preprocess": 7, "train": 5, "eval": 4, "fuse": 4, "gradcheck": 2,
+                      "ablate": 6, "dump-adjacency": 6}
+
+
 # ---------------------------------------------------------------------------
 # preprocess
 
@@ -192,6 +253,23 @@ def test_preprocess_capture_directory(tmp_path, capsys):
     assert "wrote 2 samples" in capsys.readouterr().out
     records = read_manifest(out / "manifest.jsonl")
     assert sorted(r["label"] for r in records) == [0, 1]
+
+
+@pytest.mark.parametrize("bodies", ["-1", "0"])
+def test_preprocess_body_count_below_one_is_config_error(tmp_path, capsys, bodies):
+    frames = []
+    for t in range(3):
+        a, b = np.zeros((25, 3)), np.ones((25, 3))
+        a[0, 0], b[0, 1] = t * 1.0, t * 0.5
+        frames.append([Body("a", a), Body("b", b)])
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A001.skeleton").write_text(format_skeleton(RawClip(frames)))
+    code = main(["preprocess", str(src), "--out", str(tmp_path / "data"),
+                 "--frames", "4", "--bodies", bodies])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"body count must be at least 1, got {bodies}" in err and "Traceback" not in err
 
 
 def test_preprocess_rejects_odd_input(tmp_path):
@@ -255,7 +333,7 @@ def test_train_is_byte_reproducible(tmp_path, dataset_dir):
     for name in ("a", "b"):
         out = tmp_path / name
         code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
-                     "--out", str(out), "--single-thread", *TRAIN_OPTIONS])
+                     "--out", str(out), *TRAIN_OPTIONS])
         assert code == 0
         outs.append(out)
     for artifact in ("metrics.jsonl", "checkpoint.tegc", "best.tegc"):
@@ -277,14 +355,14 @@ def test_train_reports_divergence_as_numeric_failure(tmp_path, dataset_dir):
     options = [o if o != "epochs=2" else "epochs=1" for o in options]
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
-                     "--out", str(tmp_path / "out"), "--single-thread", *options])
+                     "--out", str(tmp_path / "out"), *options])
     assert code == 4
 
 
 def test_eval_prints_accuracy(trained_dir, dataset_dir, capsys):
     code = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.tegc"),
                  "--data", str(dataset_dir / "manifest.jsonl"),
-                 "--split", "eval", "--single-thread"])
+                 "--split", "eval"])
     assert code == 0
     out = capsys.readouterr().out
     assert "top-1 accuracy" in out and "on 4 samples" in out
@@ -437,7 +515,7 @@ def test_train_malformed_manifest_is_data_error(tmp_path, capsys, line, message)
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text(line + "\n")
     code = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run"),
-                 "--single-thread", *TRAIN_OPTIONS])
+                 *TRAIN_OPTIONS])
     assert code == 3
     assert message in capsys.readouterr().err
 
@@ -469,12 +547,72 @@ def test_train_unknown_precision_is_config_error(tmp_path, dataset_dir, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra,unread", [
+    (["--set", "lerning_rate=99"], "lerning_rate"),
+    (["--set", "replace_all=true"], "replace_all"),
+])
+def test_train_unread_key_is_config_error_before_any_work(tmp_path, dataset_dir, capsys,
+                                                          extra, unread):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, *extra])
+    assert code == 2
+    assert f"config keys not read by this run: {unread}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_unread_key_is_config_error(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "table" / "heads.csv"
+    code = main(["ablate", "--suite", "heads", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, "--set", "insertion_layer=2"])
+    assert code == 2
+    assert "config keys not read by this run: insertion_layer" in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
+def test_eval_runs_in_the_precision_the_checkpoint_was_saved_in(tmp_path, dataset_dir,
+                                                                capsys, monkeypatch):
+    run = tmp_path / "run"
+    assert main(["train", "--data", str(dataset_dir / "manifest.jsonl"), "--out", str(run),
+                 *TRAIN_OPTIONS, "--set", "precision=train"]) == 0
+    best = run / "best.tegc"
+    manifest, tensors = load_checkpoint(best)
+    assert all(arr.dtype == np.float32 for arr in tensors.values())
+    precision.set_mode("verify")  # as in a fresh process
+    capsys.readouterr()
+    dtypes = set()
+
+    def evaluate(network, dataset):
+        dtypes.update(p.value.data.dtype for p in network.parameters())
+        return real_evaluate(network, dataset)
+
+    real_evaluate = tegraph.cli.evaluate
+    monkeypatch.setattr(tegraph.cli, "evaluate", evaluate)
+    assert main(["eval", "--checkpoint", str(best),
+                 "--data", str(dataset_dir / "manifest.jsonl")]) == 0
+    assert dtypes == {np.dtype(np.float32)} and precision.mode() == "train"
+    accuracy = manifest["extra"]["best_eval_acc"]
+    assert f"top-1 accuracy {accuracy:.4f} on 4 samples" in capsys.readouterr().out
+
+
+def test_eval_checkpoint_mixing_parameter_dtypes_is_data_error(trained_dir, dataset_dir,
+                                                               tmp_path, capsys):
+    def halve(manifest, tensors):
+        tensors[("fc.bias", "param")] = tensors[("fc.bias", "param")].astype(np.float32)
+
+    path = rewrite_checkpoint(trained_dir / "checkpoint.tegc", tmp_path / "mixed.tegc", halve)
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    assert "mixes parameter dtypes ['float32', 'float64']" in capsys.readouterr().err
+
+
 def test_fuse_two_streams(trained_dir, dataset_dir, capsys):
     ckpt = str(trained_dir / "checkpoint.tegc")
     code = main(["fuse", "--data", str(dataset_dir / "manifest.jsonl"),
                  "--stream", f"joint-spatial={ckpt}",
                  "--stream", f"bone-spatial={ckpt}",
-                 "--weights", "1,1", "--single-thread"])
+                 "--weights", "1,1"])
     assert code == 0
     assert "fused top-1 accuracy" in capsys.readouterr().out
 
@@ -488,6 +626,12 @@ def test_fuse_argument_validation(trained_dir, dataset_dir):
     assert main(["fuse", "--data", manifest,
                  "--stream", f"joint-spatial={ckpt}",
                  "--weights", "1,2"]) == 2
+
+
+def test_fuse_without_a_stream_is_config_error(dataset_dir, capsys):
+    assert main(["fuse", "--data", str(dataset_dir / "manifest.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert "fusion needs at least one --stream" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("weights", ["a,1", "1,", "nan,1", "1,inf", "-1,1"])
@@ -530,7 +674,7 @@ def test_ablate_heads_suite(tmp_path, dataset_dir):
     options = [o if o != "epochs=2" else "epochs=1" for o in TRAIN_OPTIONS]
     code = main(["ablate", "--suite", "heads",
                  "--data", str(dataset_dir / "manifest.jsonl"),
-                 "--out", str(out), "--single-thread", *options])
+                 "--out", str(out), *options])
     assert code == 0
     with open(out, newline="") as stream:
         rows = list(csv.reader(stream))
@@ -562,7 +706,7 @@ def test_dump_adjacency(tmp_path, dataset_dir):
     options = [o if o != "epochs=2" else "epochs=1" for o in options]
     options += ["--set", "heads=2"]
     code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
-                 "--out", str(run), "--single-thread", *options])
+                 "--out", str(run), *options])
     assert code == 0
     dumped = tmp_path / "adjacency"
     code = main(["dump-adjacency", "--checkpoint", str(run / "checkpoint.tegc"),

@@ -16,11 +16,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import format_skeleton
 from tegraph.checkpoint import load_checkpoint, save_checkpoint
 from tegraph.dataset import generate_synthetic, load_split, read_manifest, write_dataset
 from tegraph.errors import DataError, ParseError
 from tegraph.model import LayerSpec, ModelConfig, Network
-from tegraph.skeleton import Body, RawClip, format_skeleton, parse_skeleton_file
+from tegraph.skeleton import Body, RawClip, parse_skeleton_file
 from tegraph.tensorio import MAGIC, read_tensor, write_tensor
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)

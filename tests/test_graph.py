@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import permute_joints
 from tegraph.errors import GraphError
 from tegraph.graph import (
     NTU_CENTER,
@@ -17,7 +18,6 @@ from tegraph.graph import (
     normalized_partitions,
     ntu_graph,
     partitions,
-    permute_joints,
 )
 
 

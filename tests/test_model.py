@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from oracles import permute_joints
 from tegraph import precision
 from tegraph.errors import ConfigError, DataError, ShapeError
-from tegraph.graph import chain_graph, permute_joints
+from tegraph.graph import chain_graph
 from tegraph.model import (
     BACKBONE_CHANNELS,
     LayerSpec,

@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from tegraph.errors import DataError, EmptyClipError, ParseError
+from oracles import format_skeleton
+from tegraph.errors import ConfigError, DataError, EmptyClipError, ParseError
 from tegraph.skeleton import (
     Body,
     RawClip,
@@ -10,7 +11,6 @@ from tegraph.skeleton import (
     body_motions,
     center_and_pad,
     filter_bodies,
-    format_skeleton,
     parse_skeleton_file,
     rank_bodies,
     subsample_frames,
@@ -293,6 +293,16 @@ def test_center_and_pad_slots_by_motion_and_ignores_overflow_bodies():
     np.testing.assert_array_equal(seq.data[:, 0, 0, 0], 0.0)
     np.testing.assert_array_equal(seq.data[:, 1, 0, 0], 1.0)
     np.testing.assert_array_equal(seq.data[:, 1, 0, 1], 0.5)  # mid, not slow
+
+
+@pytest.mark.parametrize("max_bodies", [-1, 0])
+def test_body_count_below_one_is_config_error(max_bodies):
+    mover = {t: np.array([[0.4 * t, 0, 0]]) for t in range(2)}
+    clip = make_clip({"a": mover, "b": still_track(2, 1)})
+    with pytest.raises(ConfigError, match=f"at least 1, got {max_bodies}"):
+        filter_bodies(clip, 0.0, 10.0, max_bodies=max_bodies)
+    with pytest.raises(ConfigError, match=f"at least 1, got {max_bodies}"):
+        center_and_pad(clip, fixed_length=2, spine_joint=0, max_bodies=max_bodies)
 
 
 def test_center_and_pad_validation():

@@ -17,7 +17,6 @@ from tegraph.tensor import (
     relu,
     reshape,
     scale,
-    set_finite_checks,
     slice_axis,
     softmax_rows,
     log_softmax_rows,
@@ -138,16 +137,6 @@ def test_elementwise_ops_refuse_broadcasting():
             op(a, b)
 
 
-def test_operator_overloads_delegate():
-    a = Tensor([[1.0, 2.0]])
-    b = Tensor([[3.0, 4.0]])
-    np.testing.assert_array_equal((a + b).data, [[4.0, 6.0]])
-    np.testing.assert_array_equal((a - b).data, [[-2.0, -2.0]])
-    np.testing.assert_array_equal((a * b).data, [[3.0, 8.0]])
-    np.testing.assert_array_equal((2.0 * a).data, [[2.0, 4.0]])
-    np.testing.assert_array_equal((a @ Tensor(np.eye(2))).data, a.data)
-
-
 def test_reshape_and_permute_round_trip():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(2, 3, 4))
@@ -199,9 +188,3 @@ def test_finite_check_catches_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericError):
             add(big, big)
-        set_finite_checks(False)
-        try:
-            out = add(big, big)
-            assert np.isinf(out.data).all()
-        finally:
-            set_finite_checks(True)
