@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .dataset import load_split
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .model import ModelConfig, Network, fused_accuracy
 from .training import TrainConfig, evaluate, score_streams, train
 
@@ -45,26 +45,24 @@ def _with_insertion(config: ModelConfig, index: int) -> ModelConfig:
 
 def ablate_suite(suite: str, manifest_path, config: ModelConfig,
                  tconfig: TrainConfig,
-                 kind: str = "joint-spatial") -> tuple[list[str], list[list]]:
+                 kind: str | None = None) -> tuple[list[str], list[list]]:
+    """`kind` is the stream of the heads and layer-placement suites
+    (joint-spatial by default); the modalities suite trains every stream."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; choose from {SUITES}")
-    if suite == "heads":
-        train_set = load_split(manifest_path, kind, "train")
-        eval_set = load_split(manifest_path, kind, "eval")
-        rows = []
-        for n in HEAD_GRID:
-            acc = _train_eval(replace(config, heads=n), train_set, eval_set, tconfig)
-            rows.append([n, acc])
-        return ["heads", "top1"], rows
-
-    if suite == "layer-placement":
-        train_set = load_split(manifest_path, kind, "train")
-        eval_set = load_split(manifest_path, kind, "eval")
-        rows = []
-        for index in range(1, len(config.layers) + 1):
-            acc = _train_eval(_with_insertion(config, index), train_set, eval_set, tconfig)
-            rows.append([index, acc])
-        return ["insertion_layer", "top1"], rows
+    if suite != "modalities":
+        train_set = load_split(manifest_path, kind or "joint-spatial", "train")
+        eval_set = load_split(manifest_path, kind or "joint-spatial", "eval")
+        if suite == "heads":
+            return ["heads", "top1"], [
+                [n, _train_eval(replace(config, heads=n), train_set, eval_set, tconfig)]
+                for n in HEAD_GRID]
+        return ["insertion_layer", "top1"], [
+            [index, _train_eval(_with_insertion(config, index), train_set, eval_set, tconfig)]
+            for index in range(1, len(config.layers) + 1)]
+    if kind is not None:
+        raise ConfigError(f"the modalities suite trains every stream; "
+                          f"modality {kind!r} does not apply")
 
     # modalities: one training per stream, then fuse per combination
     per_kind_scores = {}
@@ -76,7 +74,7 @@ def ablate_suite(suite: str, manifest_path, config: ModelConfig,
         if eval_labels is None:
             eval_labels = labels
         elif labels != eval_labels:
-            raise ConfigError("modality streams disagree on eval labels/order")
+            raise DataError("modality streams disagree on eval labels/order")
         network = Network(config)
         train(network, train_set, eval_set, tconfig)
         per_kind_scores[stream_kind] = score_streams(network, eval_set)

@@ -6,6 +6,9 @@ learnable mask, with a per-subset 1x1 channel map:
 
     out = sum_k  W_k @ f @ (P_k * M_k)^T
 
+The gates P_k * M_k are formed inside the one `spatial_graph_conv` record,
+whose rule hands mask k its gradient dA_k * P_k.
+
 The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
 their own batchnorm and ReLU; oracle tests bypass those via apply_bn_relu
@@ -21,9 +24,7 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Parameter,
     Tensor,
-    constant,
     matmul,
-    mul,
     relu,
     reshape,
     slice_axis,
@@ -83,9 +84,8 @@ def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         raise ShapeError(
             f"{block.identifier}: feature has {f.shape[2]} joints, graph has {joints}"
         )
-    gated = [mul(constant(partition), mask.value)
-             for partition, mask in zip(block.partitions, block.masks)]
-    out = spatial_graph_conv(f, [w.value for w in block.weights], gated)
+    out = spatial_graph_conv(f, [w.value for w in block.weights], block.partitions,
+                             [mask.value for mask in block.masks])
     if apply_bn_relu:
         out = relu(block.bn(out))
     return out

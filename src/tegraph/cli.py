@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("ablate", help="run a comparison grid")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.add_argument("--data", required=True)
-    p.add_argument("--modality", default="joint-spatial", choices=KINDS)
+    p.add_argument("--modality", choices=KINDS, help="heads/layer-placement stream")
     p.add_argument("--out", required=True, help="output CSV path")
     _add_option_flags(p)
     p.set_defaults(func=cmd_ablate)

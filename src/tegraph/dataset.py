@@ -56,8 +56,8 @@ def _read_utf8(path: Path) -> str:
 def label_from_filename(name: str) -> int:
     """Zero-based action label from the A### tag of a capture filename."""
     match = re.search(r"A(\d{3})", name)
-    if match is None:
-        raise DataError(f"{name}: no A### action tag to take the label from")
+    if match is None or match.group(1) == "000":
+        raise DataError(f"{name}: no A001-A999 action tag to take the label from")
     return int(match.group(1)) - 1
 
 
@@ -186,6 +186,8 @@ def _check_record(record, where: str) -> None:
     label = record["label"]
     if isinstance(label, bool) or not isinstance(label, int):
         raise DataError(f"{where}: label {label!r} is not an integer")
+    if label < 0:
+        raise DataError(f"{where}: label {label} is negative")
     files = record["files"]
     if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
         raise DataError(f"{where}: files must map stream kinds to paths")

@@ -265,11 +265,12 @@ def _check_temporal_conv(rng):
 def _check_spatial_graph_conv(rng):
     x = Tensor(rng.normal(size=(3, 4, 5)))
     weights = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
-    adjacencies = [Tensor(rng.normal(size=(5, 5))) for _ in range(3)]
+    partitions = rng.normal(size=(3, 5, 5))
+    masks = [Tensor(rng.normal(size=(5, 5))) for _ in range(3)]
     w = Tensor(rng.normal(size=(2, 4, 5)))
     wrt = [("x", x), *((f"w{k}", t) for k, t in enumerate(weights)),
-           *((f"a{k}", t) for k, t in enumerate(adjacencies))]
-    return (lambda: sum_all(mul(spatial_graph_conv(x, weights, adjacencies), w))), wrt
+           *((f"m{k}", t) for k, t in enumerate(masks))]
+    return (lambda: sum_all(mul(spatial_graph_conv(x, weights, partitions, masks), w))), wrt
 
 
 def _check_temporal_graph_mix(rng):

@@ -44,10 +44,8 @@ from .tensor import (
     Parameter,
     Tensor,
     add,
-    constant,
     log_softmax_rows,
     matmul,
-    mul,
     permute,
     relu,
     reshape,
@@ -311,10 +309,11 @@ class Network:
 
     # -- forward ------------------------------------------------------------
 
-    def _normalize_input(self, body: Tensor) -> Tensor:
+    def _normalize_input(self, body: np.ndarray) -> Tensor:
+        """Input bn over the (coordinate, joint) pairs of one untaped (C, T, J) body."""
         c, t, j = body.shape
-        by_channel_joint = reshape(permute(body, (0, 2, 1)), (c * j, t))
-        normed = self.data_bn(by_channel_joint)
+        normed = self.data_bn(Tensor(np.ascontiguousarray(body.transpose(0, 2, 1))
+                                     .reshape(c * j, t)))
         return permute(reshape(normed, (c, j, t)), (0, 2, 1))
 
     def forward_sample(self, x, collector: list | None = None) -> Tensor:
@@ -327,8 +326,7 @@ class Network:
             raise ShapeError(f"sample shape {x.shape} does not match model {expected}")
         pooled_bodies = None
         for m in range(self.config.max_bodies):
-            body = reshape(slice_axis(x, 3, m, m + 1), expected[:3])
-            f = self._normalize_input(body)
+            f = self._normalize_input(x.data[..., m])
             for layer in self.layers:
                 f = layer(f, collector)
             c = f.shape[0]
@@ -343,9 +341,7 @@ class Network:
     def loss(self, logits: Tensor, label: int) -> Tensor:
         if not 0 <= label < self.config.num_classes:
             raise ConfigError(f"label {label} outside {self.config.num_classes} classes")
-        onehot = np.zeros((1, self.config.num_classes))
-        onehot[0, label] = 1.0
-        picked = sum_all(mul(log_softmax_rows(logits), constant(onehot)))
+        picked = sum_all(slice_axis(log_softmax_rows(logits), 1, label, label + 1))
         return scale(picked, -1.0)
 
 

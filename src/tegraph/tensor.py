@@ -20,16 +20,16 @@ its inputs') and over exactly the arrays its formula reads, never over a
 Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
 `slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
 and `mul` their operands, the softmaxes their output, `batchnorm` its
-normalized input, and the three fused ops their inputs.  Every other
-intermediate is freed as soon as the forward pass drops it, while the tape
-is still live.
+normalized input, and the fused ops their inputs (the gates P_k * M_k for
+`spatial_graph_conv`'s masks).  Every other intermediate is freed as soon
+as the forward pass drops it, while the tape is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
 to the cell as they are (`_accumulate(..., fresh=True)`): the results of
 `matmul`, `mul`, `scale`, `relu`, `softmax_rows` and `batchnorm`, the input
-gradient of `spatial_graph_conv` and the input-gradient slice of
+and mask gradients of `spatial_graph_conv` and the input-gradient slice of
 `temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
 sums pass on views of their output's gradient or `broadcast_to` views, so
 they keep copying.
@@ -554,30 +554,33 @@ def _check_stack(op: str, operands: Sequence[Tensor], shape: tuple, what: str) -
             raise ShapeError(f"{op}: {what} {n} has shape {t.shape}, expected {shape}")
 
 
-def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor],
-                       adjacencies: Sequence[Tensor]) -> Tensor:
-    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by A_k.
+def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
+                       masks: Sequence[Tensor]) -> Tensor:
+    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by P_k * M_k.
 
-    weights[k] is (C_out, C_in) and adjacencies[k] is a destination-major
-    (J, J) matrix: output joint i takes sum_j A_k[i, j] x[..., j].  The
-    arithmetic is exactly that of the unfused reshape/matmul/permute/add
+    weights[k] is (C_out, C_in); partitions[k] (cast to the current precision)
+    and masks[k] are (J, J) and destination-major: with the gate
+    A_k = P_k * M_k, output joint i takes sum_j A_k[i, j] x[..., j].  The
+    arithmetic is exactly that of the unfused mul/reshape/matmul/permute/add
     chain: subset k is the 1x1 channel map W_k @ x as (C_out T, J) times a
     contiguous copy of A_k^T, and the subsets are summed in order k = 0..K-1.
-    The backward rule recomputes each channel map and sends the input
-    gradient one subset at a time, k = K-1..0.
+    The backward rule recomputes each channel map and sends mask k its
+    gradient dA_k * P_k and x its input gradient, k = K-1..0.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"spatial_graph_conv expects a 3-D input, got {x.shape}")
-    if not weights or len(weights) != len(adjacencies):
+    if not weights or not len(weights) == len(partitions) == len(masks):
         raise ShapeError(f"spatial_graph_conv: {len(weights)} weights for "
-                         f"{len(adjacencies)} adjacencies")
+                         f"{len(partitions)} partitions and {len(masks)} masks")
     c_in, frames, joints = x.shape
     c_out = weights[0].shape[0]
     _check_stack("spatial_graph_conv", weights, (c_out, c_in), "weight")
-    _check_stack("spatial_graph_conv", adjacencies, (joints, joints), "adjacency")
+    _check_stack("spatial_graph_conv", masks, (joints, joints), "mask")
+    p_data = [np.asarray(p, dtype=precision.dtype()) for p in partitions]
+    _check_stack("spatial_graph_conv", p_data, (joints, joints), "partition")
     flat = x.data.reshape(c_in, frames * joints)
     w_data = [w.data for w in weights]
-    a_data = [a.data for a in adjacencies]
+    a_data = [p * m.data for p, m in zip(p_data, masks)]
 
     def channel_map(k: int) -> np.ndarray:
         return (w_data[k] @ flat).reshape(c_out * frames, joints)
@@ -594,14 +597,14 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor],
     if tape is not None:
         x_cell, out_cell = x.cell, out.cell
         w_cells = [w.cell for w in weights]
-        a_cells = [a.cell for a in adjacencies]
+        m_cells = [m.cell for m in masks]
 
         def rule():
             if out_cell.grad is None:
                 return
             g = out_cell.grad.reshape(c_out * frames, joints)
             for k in reversed(range(len(w_data))):
-                _accumulate(a_cells[k], (channel_map(k).T @ g).T)
+                _accumulate(m_cells[k], (channel_map(k).T @ g).T * p_data[k], fresh=True)
                 d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
                 _accumulate(w_cells[k], d_map @ flat.T)
                 _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),

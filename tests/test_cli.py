@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 from oracles import format_skeleton
+import tegraph.ablate
 import tegraph.cli
+import tegraph.dataset
 from tegraph import precision
 from tegraph.ablate import MODALITY_COMBOS
 from tegraph.cli import (
@@ -253,6 +255,17 @@ def test_preprocess_capture_directory(tmp_path, capsys):
     assert "wrote 2 samples" in capsys.readouterr().out
     records = read_manifest(out / "manifest.jsonl")
     assert sorted(r["label"] for r in records) == [0, 1]
+
+
+def test_preprocess_capture_with_action_tag_zero_is_data_error(tmp_path, capsys):
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A000.skeleton").write_text(capture_text(2.0))
+    out = tmp_path / "data"
+    assert main(["preprocess", str(src), "--out", str(out), "--frames", "4"]) == 3
+    err = capsys.readouterr().err
+    assert "S001C001P001R001A000.skeleton: no A001-A999 action tag" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bodies", ["-1", "0"])
@@ -508,6 +521,8 @@ def test_train_and_eval_log_the_blas_and_worker_count(trained_dir, dataset_dir, 
     ('{"split": "train", "files": {}}', "line 1: manifest line lacks label, sample_id"),
     ('{"split": "train", "label": "x", "sample_id": "a", "files": {}}',
      "line 1: label 'x' is not an integer"),
+    ('{"split": "train", "label": -1, "sample_id": "a", "files": {}}',
+     "manifest.jsonl: line 1: label -1 is negative"),
     ('{"split": "train", "label": 0, "sample_id": "a", "files": ["a.tegt"]}',
      "line 1: files must map"),
 ])
@@ -697,6 +712,56 @@ def test_ablate_modalities_suite(tmp_path, dataset_dir):
     assert [r[0] for r in rows[1:]] == ["+".join(combo) for combo in MODALITY_COMBOS]
     for r in rows[1:]:
         assert float(r[1]) in (0.0, 0.25, 0.5, 0.75, 1.0)  # 4 eval samples
+
+
+def test_ablate_modalities_suite_rejects_a_modality(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "modalities.csv"
+    code = main(["ablate", "--suite", "modalities", "--modality", "bone-motion",
+                 "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS])
+    assert code == 2
+    assert "modality 'bone-motion' does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ablate_heads_suite_trains_joint_spatial_by_default(tmp_path, dataset_dir,
+                                                            monkeypatch):
+    kinds = []
+
+    def load_split(manifest, kind, split):
+        kinds.append(kind)
+        return tegraph.dataset.load_split(manifest, kind, split)
+
+    monkeypatch.setattr(tegraph.ablate, "load_split", load_split)
+    monkeypatch.setattr(tegraph.ablate, "_train_eval", lambda *args: 0.5)
+    code = main(["ablate", "--suite", "heads",
+                 "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / "heads.csv"), *TRAIN_OPTIONS])
+    assert code == 0
+    assert kinds == ["joint-spatial", "joint-spatial"]
+
+
+def test_ablate_modalities_streams_that_disagree_are_data_error(tmp_path, dataset_dir,
+                                                                monkeypatch, capsys):
+    loaded = []
+
+    def load_split(manifest, kind, split):
+        samples = tegraph.dataset.load_split(manifest, kind, split)
+        if split == "eval":
+            loaded.append(kind)
+            if len(loaded) > 1:
+                samples = samples[::-1]  # a second stream in another order
+        return samples
+
+    monkeypatch.setattr(tegraph.ablate, "load_split", load_split)
+    monkeypatch.setattr(tegraph.ablate, "train", lambda *args: [])
+    out = tmp_path / "modalities.csv"
+    code = main(["ablate", "--suite", "modalities",
+                 "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS])
+    assert code == 3
+    assert "modality streams disagree on eval labels/order" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dump_adjacency(tmp_path, dataset_dir):

@@ -8,14 +8,16 @@ from tegraph import gradcheck, precision
 from tegraph.blocks import SGBlock, sg_forward
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
-from tegraph.model import Network, backbone_config
+from tegraph.model import LayerSpec, ModelConfig, Network, backbone_config
 from tegraph.temporal import MultiHeadTemporalConv, temporal_graph_conv
 from tegraph.tensor import (
     OP_NAMES,
     Tape,
     Tensor,
     add,
+    constant,
     matmul,
+    mul,
     permute,
     reshape,
     spatial_graph_conv,
@@ -23,11 +25,12 @@ from tegraph.tensor import (
 )
 
 
-def chain_spatial_graph_conv(x, weights, adjacencies):
-    """The channel-map/joint-mix chain sg_forward used to record per subset."""
+def chain_spatial_graph_conv(x, weights, partitions, masks):
+    """The gate/channel-map/joint-mix chain sg_forward used to record per subset."""
     c_in, t, j = x.shape
     out = None
-    for weight, adjacency in zip(weights, adjacencies):
+    for weight, partition, mask in zip(weights, partitions, masks):
+        adjacency = mul(constant(partition), mask)
         c_out = weight.shape[0]
         mapped = reshape(matmul(weight, reshape(x, (c_in, t * j))), (c_out, t, j))
         mixed = matmul(reshape(mapped, (c_out * t, j)), permute(adjacency, (1, 0)))
@@ -93,10 +96,13 @@ def test_spatial_graph_conv_is_bit_identical_to_the_chain(mode, subsets, c_in, c
 
         x = draw(c_in, frames, joints)
         weights = [draw(c_out, c_in) for _ in range(subsets)]
-        adjacencies = [draw(joints, joints) for _ in range(subsets)]
+        partitions = rng.normal(size=(subsets, joints, joints))  # float64, cast by the op
+        masks = [draw(joints, joints) for _ in range(subsets)]
         g, x_grad = draw(c_out, frames, joints), draw(c_in, frames, joints)
-        fused = run(spatial_graph_conv, x, weights, adjacencies, g, x_grad)
-        chain = run(chain_spatial_graph_conv, x, weights, adjacencies, g, x_grad)
+        fused = run(lambda f, w, m: spatial_graph_conv(f, w, partitions, m),
+                    x, weights, masks, g, x_grad)
+        chain = run(lambda f, w, m: chain_spatial_graph_conv(f, w, partitions, m),
+                    x, weights, masks, g, x_grad)
     assert fused[0].dtype == dtype
     assert_all_equal(fused, chain)
 
@@ -146,9 +152,13 @@ def op_names(tape):
 def test_sg_stage_records_one_graph_conv():
     parts = normalized_partitions(chain_graph(4, 0))
     block = SGBlock(3, 5, parts, "t.sg", seed=1)
+    x = Tensor(np.random.default_rng(1).normal(size=(3, 6, 4)))
     with Tape() as tape:
-        out = sg_forward(block, Tensor(np.ones((3, 6, 4))), apply_bn_relu=False)
-    assert op_names(tape) == ["mul"] * len(parts) + ["spatial_graph_conv"]
+        sg_forward(block, x)
+    assert op_names(tape) == ["spatial_graph_conv", "batchnorm", "relu"]
+    with Tape() as tape:
+        out = sg_forward(block, x, apply_bn_relu=False)
+    assert op_names(tape) == ["spatial_graph_conv"]
     tape.backward(out)
     assert all(w.grad.any() for w in block.weights)
     assert all(m.grad.any() for m in block.masks)
@@ -181,17 +191,45 @@ def test_every_layer_records_one_op_per_graph_stage():
     assert names.count("temporal_graph_mix") == tgraph_layers == 7
 
 
+# Tape records of one training sample at T=8.  Every op records once per
+# call, so the count depends on the model's structure, not on T.
+LONGRANGE_LAYERS = [LayerSpec(3, 12, 1, "tc", 3), LayerSpec(12, 12, 1, "tgraph", 3)]
+RECORD_CASES = {
+    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 143),
+    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 398),
+    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 279),
+    "longrange": (ModelConfig(layers=LONGRANGE_LAYERS, num_classes=2, num_joints=5,
+                              fixed_length=8, heads=2, relevance="feature-learned"), 52),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_CASES))
+def test_records_per_training_sample(name):
+    config, expected = RECORD_CASES[name]
+    network = Network(config)
+    shape = (3, 8, config.num_joints, config.max_bodies)
+    sample = np.random.default_rng(0).normal(size=shape)
+    with Tape() as tape:
+        network.loss(network.forward_sample(sample), 0)
+    assert len(tape) == expected
+    assert op_names(tape).count("spatial_graph_conv") == len(config.layers) * config.max_bodies
+
+
 def test_validation():
     x = Tensor(np.zeros((2, 4, 3)))
-    w, a = Tensor(np.zeros((5, 2))), Tensor(np.zeros((3, 3)))
+    w, p, m = Tensor(np.zeros((5, 2))), np.zeros((3, 3)), Tensor(np.zeros((3, 3)))
     with pytest.raises(ShapeError, match="3-D"):
-        spatial_graph_conv(Tensor(np.zeros((2, 4))), [w], [a])
-    with pytest.raises(ShapeError, match="adjacencies"):
-        spatial_graph_conv(x, [w, w], [a])
+        spatial_graph_conv(Tensor(np.zeros((2, 4))), [w], [p], [m])
+    with pytest.raises(ShapeError, match="2 weights for 2 partitions and 1 masks"):
+        spatial_graph_conv(x, [w, w], [p, p], [m])
+    with pytest.raises(ShapeError, match="1 weights for 2 partitions"):
+        spatial_graph_conv(x, [w], [p, p], [m])
     with pytest.raises(ShapeError, match="weight 1"):
-        spatial_graph_conv(x, [w, Tensor(np.zeros((5, 3)))], [a, a])
-    with pytest.raises(ShapeError, match="adjacency 0"):
-        spatial_graph_conv(x, [w], [Tensor(np.zeros((4, 4)))])
+        spatial_graph_conv(x, [w, Tensor(np.zeros((5, 3)))], [p, p], [m, m])
+    with pytest.raises(ShapeError, match="mask 0"):
+        spatial_graph_conv(x, [w], [p], [Tensor(np.zeros((4, 4)))])
+    with pytest.raises(ShapeError, match="partition 1"):
+        spatial_graph_conv(x, [w, w], [p, np.zeros((4, 4))], [m, m])
     a_t, w_t = Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match="3-D"):
         temporal_graph_mix(Tensor(np.zeros((2, 4))), [a_t], [w_t])

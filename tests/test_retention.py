@@ -43,6 +43,8 @@ def _t(rng, *shape):
     return Tensor(rng.normal(size=shape))
 
 
+PARTITIONS = np.random.default_rng(2).uniform(size=(2, 5, 5))
+
 # op -> (inputs from a generator, the call, names of the tensors whose data
 # the rule reads; "out" is the op's output).
 CASES = {
@@ -75,9 +77,10 @@ CASES = {
                       lambda i: temporal_conv(i["x"], i["kernel"], 2, 1), {"x", "kernel"}),
     "spatial_graph_conv": (
         lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
-                   "a0": _t(r, 5, 5), "a1": _t(r, 5, 5)},
-        lambda i: spatial_graph_conv(i["x"], [i["w0"], i["w1"]], [i["a0"], i["a1"]]),
-        {"x", "w0", "w1", "a0", "a1"}),
+                   "m0": _t(r, 5, 5), "m1": _t(r, 5, 5)},
+        lambda i: spatial_graph_conv(i["x"], [i["w0"], i["w1"]], PARTITIONS,
+                                     [i["m0"], i["m1"]]),
+        {"x", "w0", "w1"}),  # the rule keeps the gates P_k * M_k, not the masks
     "temporal_graph_mix": (
         lambda r: {"x": _t(r, 3, 5, 2), "a0": _t(r, 5, 5), "a1": _t(r, 5, 5),
                    "w0": _t(r, 3, 3), "w1": _t(r, 3, 3)},
