@@ -32,9 +32,12 @@ MODALITY_COMBOS = (
 
 
 def _train_eval(config: ModelConfig, train_set, eval_set, tconfig: TrainConfig) -> float:
+    """Final eval accuracy: the last epoch's, which `train` has already evaluated."""
     network = Network(config)
-    train(network, train_set, eval_set, tconfig)
-    return evaluate(network, eval_set).accuracy
+    history = train(network, train_set, eval_set, tconfig)
+    if history and history[-1].eval_acc is not None:
+        return history[-1].eval_acc
+    return evaluate(network, eval_set).accuracy  # no epoch ran, or no eval set
 
 
 def _with_insertion(config: ModelConfig, index: int) -> ModelConfig:

@@ -1,11 +1,18 @@
 """Batch normalization over the leading channel axis.
 
-Implemented as a dedicated taped op with a hand-written backward rather than
+Implemented as dedicated taped ops with a hand-written backward rather than
 a composition of primitives: the composed graph would be an order of
 magnitude more tape records per layer, and the closed-form gradient is the
-one place the chain rule is genuinely error-prone, so it gets its own
-gradient-check entry.  Its rule keeps the normalized input `xhat` and the
-per-channel scale, never x itself.
+one place the chain rule is genuinely error-prone, so each op gets its own
+gradient-check entry.  The arithmetic lives in four helpers that every
+batchnorm op calls, so the ops cannot drift apart: `_normalize` (the
+forward pass), `_center` (xhat from the input and the per-channel mean and
+sigma), `_affine` (gamma * xhat + beta) and `_gradients` (the backward
+pass).  `batchnorm`'s rule keeps the normalized input `xhat` and the
+per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
+relu(batchnorm(x)) as one record: it keeps the same arrays and rebuilds the
+ReLU mask from xhat.  `blocks.spatial_graph_bn_relu` keeps neither, and
+rebuilds xhat from the conv output with `_center`.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into
@@ -39,6 +46,85 @@ def _divide(total: np.ndarray, count: np.intp) -> np.ndarray:
     return np.true_divide(total, count, out=total, casting="unsafe")
 
 
+def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.intp]:
+    """Reduction axes, per-channel broadcast shape and element count per channel."""
+    return (tuple(range(1, x.ndim)), (x.shape[0],) + (1,) * (x.ndim - 1),
+            np.intp(math.prod(x.shape[1:])))
+
+
+def _center(x: np.ndarray, mean: np.ndarray, sigma: np.ndarray,
+            centered: np.ndarray | None = None) -> np.ndarray:
+    """xhat = (x - mean) / sigma with `mean` per channel; a `centered` x - mean
+    already at hand is divided in place and becomes xhat."""
+    xhat = x - mean if centered is None else centered
+    xhat /= sigma.reshape(mean.shape)
+    return xhat
+
+
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """gamma * xhat + beta, the batchnorm output."""
+    bshape = (xhat.shape[0],) + (1,) * (xhat.ndim - 1)
+    out = gamma.reshape(bshape) * xhat
+    out += beta.reshape(bshape)
+    return out
+
+
+def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+               running_var: np.ndarray, training: bool, eps: float, momentum: float):
+    """The forward arithmetic: (output, xhat, mean, sigma, scale).
+
+    mean is per channel in broadcast shape, sigma per channel, and scale is
+    gamma / sigma in broadcast shape, the factor of the input gradient.  In
+    training the running buffers take one momentum step.
+    """
+    if x.ndim < 2:
+        raise ShapeError(f"batchnorm expects rank >= 2, got shape {x.shape}")
+    channels = x.shape[0]
+    if gamma.shape != (channels,) or beta.shape != (channels,):
+        raise ShapeError(
+            f"batchnorm: scale/shift shapes {gamma.shape}/{beta.shape} "
+            f"do not match {channels} channels"
+        )
+    axes, bshape, count = _layout(x)
+    centered = None
+    if training:
+        mean = _divide(x.sum(axis=axes, keepdims=True), count)
+        centered = x - mean
+        var = _divide(np.square(centered).sum(axis=axes), count)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean.reshape(channels)
+        running_var *= 1.0 - momentum
+        running_var += momentum * var
+    else:
+        mean = running_mean.reshape(bshape).copy()  # a rule may keep it; the buffer moves
+        var = running_var
+    sigma = np.sqrt(var + eps)
+    xhat = _center(x, mean, sigma, centered)
+    out = _affine(xhat, gamma.data, beta.data)
+    _check_finite(out, "batchnorm")
+    return out, xhat, mean, sigma, (gamma.data / sigma).reshape(bshape)
+
+
+def _gradients(dy: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
+               training: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_beta, d_gamma, dx) for the output gradient `dy`, all fresh arrays."""
+    axes, bshape, count = _layout(dy)
+    d_beta = dy.sum(axis=axes)
+    dy_xhat = dy * xhat
+    d_gamma = dy_xhat.sum(axis=axes)
+    if training:
+        # Batch statistics depend on x, hence the two centering terms:
+        # scale * (dy - mean(dy) - xhat * mean(dy * xhat)).
+        m_dy = _divide(d_beta.copy(), count).reshape(bshape)
+        m_dy_xhat = _divide(d_gamma.copy(), count).reshape(bshape)
+        dx = dy - m_dy
+        dx -= np.multiply(xhat, m_dy_xhat, out=dy_xhat)
+        dx *= scale
+    else:
+        dx = scale * dy
+    return d_beta, d_gamma, dx
+
+
 def batchnorm(
     x: Tensor,
     gamma: Tensor,
@@ -49,73 +135,69 @@ def batchnorm(
     eps: float = 1e-5,
     momentum: float = 0.1,
 ) -> Tensor:
-    if x.data.ndim < 2:
-        raise ShapeError(f"batchnorm expects rank >= 2, got shape {x.shape}")
-    channels = x.shape[0]
-    if gamma.shape != (channels,) or beta.shape != (channels,):
-        raise ShapeError(
-            f"batchnorm: scale/shift shapes {gamma.shape}/{beta.shape} "
-            f"do not match {channels} channels"
-        )
-    axes = tuple(range(1, x.data.ndim))
-    bshape = (channels,) + (1,) * (x.data.ndim - 1)
-
-    count = np.intp(math.prod(x.shape[1:]))
-
-    if training:
-        mean = _divide(x.data.sum(axis=axes, keepdims=True), count)
-        xhat = x.data - mean
-        var = _divide(np.square(xhat).sum(axis=axes), count)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(channels)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
-    else:
-        var = running_var
-        xhat = x.data - running_mean.reshape(bshape)
-
-    sigma = np.sqrt(var + eps)
-    xhat /= sigma.reshape(bshape)
-    out_data = gamma.data.reshape(bshape) * xhat
-    out_data += beta.data.reshape(bshape)
+    out_data, xhat, _, _, scale = _normalize(x.data, gamma, beta, running_mean, running_var,
+                                             training, eps, momentum)
     out = Tensor(out_data)
-    _check_finite(out.data, "batchnorm")
-
     tape = active_tape()
     if tape is not None:
         x_cell, gamma_cell, beta_cell, out_cell = x.cell, gamma.cell, beta.cell, out.cell
-        inv_sigma = (gamma.data / sigma).reshape(bshape)
 
         def rule():
             if out_cell.grad is None:
                 return
-            dy = out_cell.grad
-            d_beta = dy.sum(axis=axes)
-            dy_xhat = dy * xhat
-            d_gamma = dy_xhat.sum(axis=axes)
-            if training:
-                # Batch statistics depend on x, hence the two centering terms:
-                # inv_sigma * (dy - mean(dy) - xhat * mean(dy * xhat)).
-                m_dy = _divide(d_beta.copy(), count).reshape(bshape)
-                m_dy_xhat = _divide(d_gamma.copy(), count).reshape(bshape)
-                dx = dy - m_dy
-                dx -= np.multiply(xhat, m_dy_xhat, out=dy_xhat)
-                dx *= inv_sigma
-            else:
-                dx = inv_sigma * dy
-            _accumulate(beta_cell, d_beta, fresh=True)
-            _accumulate(gamma_cell, d_gamma, fresh=True)
-            _accumulate(x_cell, dx, fresh=True)
+            grads = _gradients(out_cell.grad, xhat, scale, training)
+            for cell, grad in zip((beta_cell, gamma_cell, x_cell), grads):
+                _accumulate(cell, grad, fresh=True)
+
+        tape.record(rule)
+    return out
+
+
+def batchnorm_relu(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    training: bool,
+    eps: float = 1e-5,
+    momentum: float = 0.1,
+) -> Tensor:
+    """relu(batchnorm(x, ...)) as one record, bit for bit.
+
+    The rule keeps xhat and rebuilds the ReLU mask gamma * xhat + beta > 0
+    from it instead of keeping a mask.
+    """
+    out_data, xhat, _, _, scale = _normalize(x.data, gamma, beta, running_mean, running_var,
+                                             training, eps, momentum)
+    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
+    tape = active_tape()
+    if tape is not None:
+        x_cell, gamma_cell, beta_cell, out_cell = x.cell, gamma.cell, beta.cell, out.cell
+        gamma_data, beta_data = gamma.data, beta.data
+
+        def rule():
+            if out_cell.grad is None:
+                return
+            dy = out_cell.grad * (_affine(xhat, gamma_data, beta_data) > 0)
+            for cell, grad in zip((beta_cell, gamma_cell, x_cell),
+                                  _gradients(dy, xhat, scale, training)):
+                _accumulate(cell, grad, fresh=True)
 
         tape.record(rule)
     return out
 
 
 class BatchNorm:
-    """Stateful wrapper owning scale/shift parameters and running buffers."""
+    """Stateful wrapper owning scale/shift parameters and running buffers.
 
-    def __init__(self, channels: int, identifier: str, eps: float = 1e-5, momentum: float = 0.1):
+    With `relu` the wrapper applies the rectifier too, in the same record.
+    """
+
+    def __init__(self, channels: int, identifier: str, eps: float = 1e-5, momentum: float = 0.1,
+                 relu: bool = False):
         self.channels = channels
+        self.relu = relu
         self.identifier = identifier
         self.eps = eps
         self.momentum = momentum
@@ -126,7 +208,8 @@ class BatchNorm:
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        return batchnorm(
+        """batchnorm(x), or with `relu` the one-record relu(batchnorm(x))."""
+        return (batchnorm_relu if self.relu else batchnorm)(
             x,
             self.gamma.value,
             self.beta.value,

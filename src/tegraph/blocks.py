@@ -11,21 +11,28 @@ whose rule hands mask k its gradient dA_k * P_k.
 
 The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
-their own batchnorm and ReLU; oracle tests bypass those via apply_bn_relu
-to reach the raw linear maps.
+their own batchnorm and ReLU: the whole spatial stage conv -> bn -> relu is
+the one `spatial_graph_bn_relu` record, and the temporal block's bn -> relu
+is one `batchnorm_relu` record.  Oracle tests bypass bn and ReLU via
+apply_bn_relu to reach the raw linear maps.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from . import init
-from .batchnorm import BatchNorm
+from .batchnorm import BatchNorm, _affine, _center, _gradients, _normalize
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Parameter,
     Tensor,
+    _accumulate,
+    _check_finite,
+    _spatial_graph,
+    active_tape,
     matmul,
-    relu,
     reshape,
     slice_axis,
     spatial_graph_conv,
@@ -74,6 +81,46 @@ class SGBlock:
         return [self.bn]
 
 
+def spatial_graph_bn_relu(x: Tensor, weights: Sequence[Tensor],
+                          partitions: Sequence[np.ndarray], masks: Sequence[Tensor],
+                          gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+                          running_var: np.ndarray, training: bool, eps: float = 1e-5,
+                          momentum: float = 0.1) -> Tensor:
+    """relu(batchnorm(spatial_graph_conv(x, ...), ...)) as one record, bit for bit.
+
+    The rule keeps x, the gates and the per-channel mean, sigma and scale,
+    never the conv output, xhat or a mask.  It recomputes the channel maps
+    that the graph-conv backward reads anyway, rebuilds the conv output from
+    them, and from that xhat and the ReLU mask gamma * xhat + beta > 0.
+    """
+    channel_map, conv, backward = _spatial_graph(x, weights, partitions, masks)
+    conv_out = conv(channel_map)
+    _check_finite(conv_out, "spatial_graph_conv")
+    out_data, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, running_mean,
+                                                 running_var, training, eps, momentum)
+    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
+    tape = active_tape()
+    if tape is not None:
+        gamma_cell, beta_cell, out_cell = gamma.cell, beta.cell, out.cell
+        gamma_data, beta_data = gamma.data, beta.data
+        subsets = len(weights)
+
+        def rule():
+            if out_cell.grad is None:
+                return
+            maps = [channel_map(k) for k in range(subsets)]
+            xhat = _center(conv(maps.__getitem__), mean, sigma)
+            dy = out_cell.grad * (_affine(xhat, gamma_data, beta_data) > 0)
+            d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
+            del xhat, dy  # freed before the graph-conv backward allocates
+            _accumulate(beta_cell, d_beta, fresh=True)
+            _accumulate(gamma_cell, d_gamma, fresh=True)
+            backward(dx, maps.__getitem__)
+
+        tape.record(rule)
+    return out
+
+
 def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
     if f.data.ndim != 3 or f.shape[0] != block.in_channels:
         raise ShapeError(
@@ -84,11 +131,14 @@ def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         raise ShapeError(
             f"{block.identifier}: feature has {f.shape[2]} joints, graph has {joints}"
         )
-    out = spatial_graph_conv(f, [w.value for w in block.weights], block.partitions,
-                             [mask.value for mask in block.masks])
-    if apply_bn_relu:
-        out = relu(block.bn(out))
-    return out
+    weights = [w.value for w in block.weights]
+    masks = [mask.value for mask in block.masks]
+    if not apply_bn_relu:
+        return spatial_graph_conv(f, weights, block.partitions, masks)
+    bn = block.bn
+    return spatial_graph_bn_relu(f, weights, block.partitions, masks, bn.gamma.value,
+                                 bn.beta.value, bn.running_mean, bn.running_var, bn.training,
+                                 bn.eps, bn.momentum)
 
 
 class TCBlock:
@@ -110,7 +160,7 @@ class TCBlock:
                                 (channels, channels, kernel_t), channels * kernel_t),
             f"{identifier}.kernel",
         )
-        self.bn = BatchNorm(channels, f"{identifier}.bn")
+        self.bn = BatchNorm(channels, f"{identifier}.bn", relu=True)
 
     def parameters(self) -> list[Parameter]:
         return [self.kernel] + self.bn.parameters()
@@ -130,7 +180,7 @@ def tc_forward(block: TCBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         )
     out = temporal_conv(f, block.kernel.value, block.stride, block.pad)
     if apply_bn_relu:
-        out = relu(block.bn(out))
+        out = block.bn(out)
     return out
 
 

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import precision
-from .batchnorm import batchnorm
+from .batchnorm import batchnorm, batchnorm_relu
+from .blocks import spatial_graph_bn_relu
 from .errors import NumericError
 from .tensor import (
     OP_NAMES,
@@ -31,6 +32,7 @@ from .tensor import (
     Tape,
     Tensor,
     add,
+    calculated_heads,
     matmul,
     mul,
     pad_axis,
@@ -254,6 +256,73 @@ def _check_batchnorm(rng):
     return f, [("x", x), ("gamma", gamma), ("beta", beta)]
 
 
+def _away_from_the_kink(rng, draw, pre_relu, margin=0.01):
+    """Redraw the inputs until no pre-ReLU value lies within `margin` of zero,
+    so the central difference never straddles the kink."""
+    while True:
+        inputs = draw(rng)
+        if np.abs(pre_relu(*inputs).data).min() > margin:
+            return inputs
+
+
+def _bn_inputs(rng, channels):
+    return (Tensor(rng.uniform(0.5, 1.5, size=(channels,))), Tensor(rng.normal(size=(channels,))))
+
+
+def _check_batchnorm_relu(rng):
+    def draw(r):
+        return (Tensor(r.normal(size=(3, 4, 5))), *_bn_inputs(r, 3))
+
+    x, gamma, beta = _away_from_the_kink(
+        rng, draw, lambda x, g, b: batchnorm(x, g, b, np.zeros(3), np.ones(3), True))
+    w = Tensor(rng.normal(size=(3, 4, 5)))
+
+    def f():
+        out = batchnorm_relu(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
+        return sum_all(mul(out, w))
+
+    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
+
+
+def _check_spatial_graph_bn_relu(rng):
+    partitions = rng.normal(size=(2, 4, 4))
+
+    def draw(r):
+        return (Tensor(r.normal(size=(3, 5, 4))), [Tensor(r.normal(size=(2, 3))) for _ in range(2)],
+                [Tensor(r.normal(size=(4, 4))) for _ in range(2)], *_bn_inputs(r, 2))
+
+    def pre_relu(x, weights, masks, gamma, beta):
+        return batchnorm(spatial_graph_conv(x, weights, partitions, masks), gamma, beta,
+                         np.zeros(2), np.ones(2), True)
+
+    x, weights, masks, gamma, beta = _away_from_the_kink(rng, draw, pre_relu)
+    w = Tensor(rng.normal(size=(2, 5, 4)))
+    wrt = [("x", x), *((f"w{k}", t) for k, t in enumerate(weights)),
+           *((f"m{k}", t) for k, t in enumerate(masks)), ("gamma", gamma), ("beta", beta)]
+
+    def f():
+        out = spatial_graph_bn_relu(x, weights, partitions, masks, gamma, beta, np.zeros(2),
+                                    np.ones(2), training=True)
+        return sum_all(mul(out, w))
+
+    return f, wrt
+
+
+def _check_calculated_heads(rng):
+    f_in = Tensor(rng.normal(size=(4, 5, 2)))
+    w_a = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
+    w_b = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
+    w = [Tensor(rng.normal(size=(5, 5))) for _ in range(2)]
+    wrt = [("f", f_in), *((f"wa{n}", t) for n, t in enumerate(w_a)),
+           *((f"wb{n}", t) for n, t in enumerate(w_b))]
+
+    def f():
+        a0, a1 = calculated_heads(f_in, w_a, w_b)
+        return add(sum_all(mul(a0, w[0])), sum_all(mul(a1, w[1])))
+
+    return f, wrt
+
+
 def _check_temporal_conv(rng):
     x = Tensor(rng.normal(size=(3, 7, 2)))
     kernel = Tensor(rng.normal(size=(4, 3, 3)))
@@ -299,8 +368,11 @@ OP_CHECKS = {
     "sum_all": _check_sum_all,
     "sum_axis": _check_sum_axis,
     "batchnorm": _check_batchnorm,
+    "batchnorm_relu": _check_batchnorm_relu,
     "temporal_conv": _check_temporal_conv,
     "spatial_graph_conv": _check_spatial_graph_conv,
+    "spatial_graph_bn_relu": _check_spatial_graph_bn_relu,
+    "calculated_heads": _check_calculated_heads,
     "temporal_graph_mix": _check_temporal_graph_mix,
 }
 

@@ -83,6 +83,8 @@ class LayerSpec:
             )
         if self.in_channels < 1 or self.out_channels < 1:
             raise ConfigError("channel counts must be positive")
+        if self.kernel_t < 1:
+            raise ConfigError(f"temporal kernel size must be at least 1, got {self.kernel_t}")
 
 
 @dataclass
@@ -105,6 +107,9 @@ class ModelConfig:
             raise ConfigError("need at least two classes")
         if self.heads < 1:
             raise ConfigError("need at least one head")
+        for name in ("num_joints", "fixed_length", "max_bodies"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.relevance not in HEAD_KINDS:
             raise ConfigError(f"unknown relevance kind {self.relevance!r}")
         if self.layers[0].in_channels != 3:

@@ -32,6 +32,7 @@ from .tensor import (
     Parameter,
     Tensor,
     add,
+    calculated_heads,
     constant,
     matmul,
     mul,
@@ -166,8 +167,17 @@ class MultiHeadTemporalConv:
 
 
 def build_heads(mhc: MultiHeadTemporalConv, f: Tensor) -> list[Tensor]:
-    """One row-stochastic temporal adjacency per head, in head order."""
-    return [normalize(head(f)) for head in mhc.heads]
+    """One row-stochastic temporal adjacency per head, in head order.
+
+    Feature-calculated heads are one `calculated_heads` record per layer,
+    bit-identical to normalizing each head's `feature_calculated` scores.
+    """
+    heads = mhc.heads
+    if heads[0].kind == "feature-learned":
+        return [normalize(head(f)) for head in heads]
+    _check_feature(heads[0], f)
+    return calculated_heads(f, [head.w_a.value for head in heads],
+                            [head.w_b.value for head in heads])
 
 
 def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,

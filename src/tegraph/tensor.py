@@ -7,12 +7,14 @@ plain Wengert list replayed once and consumed in strict reverse execution
 order: each rule, and every buffer only it holds, is freed as soon as it
 has run, so a tape supports a single backward pass.  There is no
 broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
-ops so every backward rule stays auditable.  Three fused ops give each
-graph stage one record: `temporal_conv` (the windowed temporal
-convolution), `spatial_graph_conv` (the partitioned joint mixing) and
-`temporal_graph_mix` (the multi-head frame mixing).  Each reproduces the
-arithmetic of the op chain it replaces bit for bit and recomputes what its
-rule needs from its inputs.
+ops so every backward rule stays auditable.  Fused ops give each hot stage
+one record: `temporal_conv` (the windowed temporal convolution),
+`spatial_graph_conv` (the partitioned joint mixing), `calculated_heads`
+(every feature-calculated relevance head of a layer, softmax included) and
+`temporal_graph_mix` (the multi-head frame mixing) here, `batchnorm_relu`
+in batchnorm.py and `spatial_graph_bn_relu` (the whole spatial stage) in
+blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
+for bit and recomputes what its rule needs from its inputs.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
 A backward rule closes over the cells it reads and writes (its output's and
@@ -21,15 +23,22 @@ Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
 `slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
 and `mul` their operands, the softmaxes their output, `batchnorm` its
 normalized input, and the fused ops their inputs (the gates P_k * M_k for
-`spatial_graph_conv`'s masks).  Every other intermediate is freed as soon
-as the forward pass drops it, while the tape is still live.
+`spatial_graph_conv`'s masks).  The fused ops that end in a nonlinearity
+keep less than the chain did: `calculated_heads` keeps f, the projections
+and its adjacencies, never the score operands; `batchnorm_relu` keeps xhat
+and rebuilds its ReLU mask from it; `spatial_graph_bn_relu` keeps the layer
+input, the gates and the per-channel mean, sigma and scale, and rebuilds
+the conv output, xhat and the mask in its rule.  Every other intermediate
+is freed as soon as the forward pass drops it, while the tape is still
+live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
 to the cell as they are (`_accumulate(..., fresh=True)`): the results of
-`matmul`, `mul`, `scale`, `relu`, `softmax_rows` and `batchnorm`, the input
-and mask gradients of `spatial_graph_conv` and the input-gradient slice of
+`matmul`, `mul`, `scale`, `relu`, `softmax_rows` and the batchnorms, the
+input and mask gradients of `spatial_graph_conv`, the input and projection
+gradients of `calculated_heads` and the input-gradient slice of
 `temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
 sums pass on views of their output's gradient or `broadcast_to` views, so
 they keep copying.
@@ -240,8 +249,11 @@ OP_NAMES = [
     "sum_all",
     "sum_axis",
     "batchnorm",
+    "batchnorm_relu",
     "temporal_conv",
     "spatial_graph_conv",
+    "spatial_graph_bn_relu",
+    "calculated_heads",
     "temporal_graph_mix",
 ]
 
@@ -268,12 +280,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
+def _softmax(m: np.ndarray) -> np.ndarray:
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _softmax_grad(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient at the scores of row-softmax output `s` with output gradient `g`."""
+    return s * (g - np.sum(g * s, axis=1, keepdims=True))
+
+
 def softmax_rows(m: Tensor) -> Tensor:
     if m.data.ndim != 2:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {m.shape}")
-    shifted = m.data - m.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    out = Tensor(e / e.sum(axis=1, keepdims=True))
+    out = Tensor(_softmax(m.data))
     _check_finite(out.data, "softmax_rows")
     tape = active_tape()
     if tape is not None:
@@ -282,8 +302,7 @@ def softmax_rows(m: Tensor) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            g = out_cell.grad
-            _accumulate(m_cell, s * (g - np.sum(g * s, axis=1, keepdims=True)), fresh=True)
+            _accumulate(m_cell, _softmax_grad(s, out_cell.grad), fresh=True)
 
         tape.record(rule)
     return out
@@ -554,18 +573,15 @@ def _check_stack(op: str, operands: Sequence[Tensor], shape: tuple, what: str) -
             raise ShapeError(f"{op}: {what} {n} has shape {t.shape}, expected {shape}")
 
 
-def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
-                       masks: Sequence[Tensor]) -> Tensor:
-    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by P_k * M_k.
+def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
+                   masks: Sequence[Tensor]):
+    """Check a spatial graph conv of `x` and return its arithmetic as closures.
 
-    weights[k] is (C_out, C_in); partitions[k] (cast to the current precision)
-    and masks[k] are (J, J) and destination-major: with the gate
-    A_k = P_k * M_k, output joint i takes sum_j A_k[i, j] x[..., j].  The
-    arithmetic is exactly that of the unfused mul/reshape/matmul/permute/add
-    chain: subset k is the 1x1 channel map W_k @ x as (C_out T, J) times a
-    contiguous copy of A_k^T, and the subsets are summed in order k = 0..K-1.
-    The backward rule recomputes each channel map and sends mask k its
-    gradient dA_k * P_k and x its input gradient, k = K-1..0.
+    `channel_map(k)` is W_k @ x as (C_out T, J); `conv(map_of)` is the
+    (C_out, T, J) output sum_k map_of(k) @ A_k^T over k = 0..K-1, A_k = P_k * M_k;
+    `backward(g, map_of)` sends the output gradient `g` on to mask k
+    (dA_k * P_k), weight k and x, k = K-1..0.  The closures hold x, the
+    weights, the partitions and the gates, never a Tensor.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"spatial_graph_conv expects a 3-D input, got {x.shape}")
@@ -581,6 +597,9 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequenc
     flat = x.data.reshape(c_in, frames * joints)
     w_data = [w.data for w in weights]
     a_data = [p * m.data for p, m in zip(p_data, masks)]
+    x_cell = x.cell
+    w_cells = [w.cell for w in weights]
+    m_cells = [m.cell for m in masks]
 
     def channel_map(k: int) -> np.ndarray:
         return (w_data[k] @ flat).reshape(c_out * frames, joints)
@@ -588,30 +607,114 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequenc
     def mixer(k: int) -> np.ndarray:
         return np.ascontiguousarray(a_data[k].T)
 
-    acc = channel_map(0) @ mixer(0)
-    for k in range(1, len(w_data)):
-        acc += channel_map(k) @ mixer(k)
-    out = Tensor(acc.reshape(c_out, frames, joints))
+    def conv(map_of) -> np.ndarray:
+        acc = map_of(0) @ mixer(0)
+        for k in range(1, len(w_data)):
+            acc += map_of(k) @ mixer(k)
+        return acc.reshape(c_out, frames, joints)
+
+    def backward(g: np.ndarray, map_of) -> None:
+        g = g.reshape(c_out * frames, joints)
+        for k in reversed(range(len(w_data))):
+            _accumulate(m_cells[k], (map_of(k).T @ g).T * p_data[k], fresh=True)
+            d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
+            _accumulate(w_cells[k], d_map @ flat.T)
+            _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
+                        fresh=True)
+
+    return channel_map, conv, backward
+
+
+def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
+                       masks: Sequence[Tensor]) -> Tensor:
+    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by P_k * M_k.
+
+    weights[k] is (C_out, C_in); partitions[k] (cast to the current precision)
+    and masks[k] are (J, J) and destination-major: with the gate
+    A_k = P_k * M_k, output joint i takes sum_j A_k[i, j] x[..., j].  The
+    arithmetic is exactly that of the unfused mul/reshape/matmul/permute/add
+    chain: subset k is the 1x1 channel map W_k @ x as (C_out T, J) times a
+    contiguous copy of A_k^T, and the subsets are summed in order k = 0..K-1.
+    The backward rule recomputes each channel map and sends mask k its
+    gradient dA_k * P_k and x its input gradient, k = K-1..0.
+    """
+    channel_map, conv, backward = _spatial_graph(x, weights, partitions, masks)
+    out = Tensor(conv(channel_map))
     _check_finite(out.data, "spatial_graph_conv")
     tape = active_tape()
     if tape is not None:
-        x_cell, out_cell = x.cell, out.cell
-        w_cells = [w.cell for w in weights]
-        m_cells = [m.cell for m in masks]
+        out_cell = out.cell
 
         def rule():
             if out_cell.grad is None:
                 return
-            g = out_cell.grad.reshape(c_out * frames, joints)
-            for k in reversed(range(len(w_data))):
-                _accumulate(m_cells[k], (channel_map(k).T @ g).T * p_data[k], fresh=True)
-                d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
-                _accumulate(w_cells[k], d_map @ flat.T)
-                _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
-                            fresh=True)
+            backward(out_cell.grad, channel_map)
 
         tape.record(rule)
     return out
+
+
+def calculated_heads(f: Tensor, w_a: Sequence[Tensor], w_b: Sequence[Tensor]) -> list[Tensor]:
+    """(C, T, J) -> one (T, T) row-stochastic adjacency per feature-calculated head.
+
+    w_a[n] and w_b[n] are (R, C).  Head n's adjacency is the row softmax of
+    a_rows @ b_cols, where a_rows is W_a f laid out time-major as (T, R J)
+    and b_cols is W_b f as (R J, T).  The arithmetic is exactly that of each
+    head's unfused reshape/matmul/permute/softmax_rows chain, in head order.
+    The backward rule recomputes a_rows and b_cols per head instead of
+    keeping them, and sends each head's input gradient to f, n = N-1..0.
+    """
+    if f.data.ndim != 3:
+        raise ShapeError(f"calculated_heads expects a 3-D input, got {f.shape}")
+    if not w_a or len(w_a) != len(w_b):
+        raise ShapeError(f"calculated_heads: {len(w_a)} a-projections for "
+                         f"{len(w_b)} b-projections")
+    c, frames, joints = f.shape
+    reduced = w_a[0].shape[0]
+    _check_stack("calculated_heads", w_a, (reduced, c), "a-projection")
+    _check_stack("calculated_heads", w_b, (reduced, c), "b-projection")
+    flat = f.data.reshape(c, frames * joints)
+    wa_data = [w.data for w in w_a]
+    wb_data = [w.data for w in w_b]
+
+    def operands(n: int) -> tuple[np.ndarray, np.ndarray]:
+        a = (wa_data[n] @ flat).reshape(reduced, frames, joints)
+        b = (wb_data[n] @ flat).reshape(reduced, frames, joints)
+        return (np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(frames, reduced * joints),
+                np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(reduced * joints, frames))
+
+    outs = []
+    for n in range(len(wa_data)):
+        a_rows, b_cols = operands(n)
+        scores = a_rows @ b_cols
+        _check_finite(scores, "calculated_heads")  # then the softmax is finite too
+        outs.append(Tensor(_softmax(scores)))
+    tape = active_tape()
+    if tape is not None:
+        f_cell = f.cell
+        a_cells = [w.cell for w in w_a]
+        b_cells = [w.cell for w in w_b]
+        out_cells = [out.cell for out in outs]
+        s_data = [out.data for out in outs]
+
+        def rule():
+            for n in reversed(range(len(s_data))):
+                if out_cells[n].grad is None:
+                    continue
+                d_scores = _softmax_grad(s_data[n], out_cells[n].grad)
+                a_rows, b_cols = operands(n)
+                d_a = np.ascontiguousarray((d_scores @ b_cols.T).reshape(
+                    frames, reduced, joints).transpose(1, 0, 2)).reshape(reduced, -1)
+                d_b = np.ascontiguousarray((a_rows.T @ d_scores).reshape(
+                    reduced, joints, frames).transpose(0, 2, 1)).reshape(reduced, -1)
+                _accumulate(b_cells[n], d_b @ flat.T, fresh=True)
+                d_flat = wb_data[n].T @ d_b
+                _accumulate(a_cells[n], d_a @ flat.T, fresh=True)
+                d_flat += wa_data[n].T @ d_a
+                _accumulate(f_cell, d_flat.reshape(c, frames, joints), fresh=True)
+
+        tape.record(rule)
+    return outs
 
 
 def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],

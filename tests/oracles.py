@@ -1,14 +1,27 @@
-"""Scalar brute-force references for the vectorized network blocks, and
-test-only helpers.
+"""Scalar brute-force references for the vectorized network blocks, the
+unfused op chains that the fused ops replace, and test-only helpers.
 
-Everything here is plain Python loops over float64 numpy scalars; nothing
-imports the autodiff machinery, so agreement with the library is evidence,
-not circularity.
+The scalar references are plain Python loops over float64 numpy scalars
+that use no autodiff, so agreement with the library is evidence, not
+circularity.  The `chain_*` functions are the op chains that each fused op
+must reproduce bit for bit, outputs and gradients alike.
 """
 import numpy as np
 
+from tegraph.batchnorm import batchnorm
 from tegraph.errors import GraphError
 from tegraph.graph import SkeletonGraph
+from tegraph.tensor import (
+    add,
+    constant,
+    matmul,
+    mul,
+    permute,
+    relu,
+    reshape,
+    softmax_rows,
+    spatial_graph_conv,
+)
 
 
 def format_skeleton(clip) -> str:
@@ -139,3 +152,58 @@ def softmax_rows_oracle(m):
         total = sum(exps)
         out[i] = [e / total for e in exps]
     return out
+
+
+def chain_spatial_graph_conv(x, weights, partitions, masks):
+    """The gate/channel-map/joint-mix chain sg_forward used to record per subset."""
+    c_in, t, j = x.shape
+    out = None
+    for weight, partition, mask in zip(weights, partitions, masks):
+        adjacency = mul(constant(partition), mask)
+        c_out = weight.shape[0]
+        mapped = reshape(matmul(weight, reshape(x, (c_in, t * j))), (c_out, t, j))
+        mixed = matmul(reshape(mapped, (c_out * t, j)), permute(adjacency, (1, 0)))
+        term = reshape(mixed, (c_out, t, j))
+        out = term if out is None else add(out, term)
+    return out
+
+
+def chain_temporal_graph_mix(x, adjacencies, weights):
+    """The time-major mix/head-output chain temporal_graph_conv used to record."""
+    c, t, j = x.shape
+    time_major = reshape(permute(x, (1, 0, 2)), (t, c * j))
+    out = None
+    for adjacency, weight in zip(adjacencies, weights):
+        mixed = reshape(matmul(adjacency, time_major), (t, c, j))
+        flat = reshape(permute(mixed, (1, 0, 2)), (c, t * j))
+        mapped = reshape(matmul(weight, flat), (c, t, j))
+        out = mapped if out is None else add(out, mapped)
+    return out
+
+
+def chain_calculated_heads(f, w_a, w_b):
+    """Each feature-calculated head's projection/score chain and row softmax,
+    in head order, as build_heads used to record them."""
+    c, t, j = f.shape
+    out = []
+    for wa, wb in zip(w_a, w_b):
+        reduced = wa.shape[0]
+        flat = reshape(f, (c, t * j))
+        a = reshape(matmul(wa, flat), (reduced, t, j))
+        b = reshape(matmul(wb, flat), (reduced, t, j))
+        a_rows = reshape(permute(a, (1, 0, 2)), (t, reduced * j))
+        b_cols = reshape(permute(b, (0, 2, 1)), (reduced * j, t))
+        out.append(softmax_rows(matmul(a_rows, b_cols)))
+    return out
+
+
+def chain_batchnorm_relu(x, gamma, beta, running_mean, running_var, training):
+    """The batchnorm and relu records tc_forward used to make."""
+    return relu(batchnorm(x, gamma, beta, running_mean, running_var, training))
+
+
+def chain_spatial_graph_bn_relu(x, weights, partitions, masks, gamma, beta, running_mean,
+                                running_var, training):
+    """The graph conv, batchnorm and relu records sg_forward used to make."""
+    return chain_batchnorm_relu(spatial_graph_conv(x, weights, partitions, masks), gamma,
+                                beta, running_mean, running_var, training)

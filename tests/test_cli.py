@@ -14,6 +14,7 @@ from oracles import format_skeleton
 import tegraph.ablate
 import tegraph.cli
 import tegraph.dataset
+import tegraph.training
 from tegraph import precision
 from tegraph.ablate import MODALITY_COMBOS
 from tegraph.cli import (
@@ -585,6 +586,49 @@ def test_ablate_unread_key_is_config_error(tmp_path, dataset_dir, capsys):
     assert not out.parent.exists()
 
 
+IMPOSSIBLE_SIZES = [
+    ("layers", "3:8:1:tc:-1", "temporal kernel size must be at least 1, got -1"),
+    ("joints", "0", "num_joints must be at least 1, got 0"),
+    ("frames", "0", "fixed_length must be at least 1, got 0"),
+    ("bodies", "-2", "max_bodies must be at least 1, got -2"),
+]
+
+
+@pytest.mark.parametrize("key,value,message", IMPOSSIBLE_SIZES)
+def test_train_impossible_size_is_config_error(tmp_path, dataset_dir, capsys, key, value,
+                                               message):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, "--set", f"{key}={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _set_config(key, value):
+    def edit(manifest, tensors):
+        if key == "layers":
+            manifest["config"]["layers"][0][4] = int(value.split(":")[4])
+        else:
+            name = {"joints": "num_joints", "frames": "fixed_length", "bodies": "max_bodies"}
+            manifest["config"][name[key]] = int(value)
+    return edit
+
+
+@pytest.mark.parametrize("key,value,message", IMPOSSIBLE_SIZES)
+def test_eval_checkpoint_with_an_impossible_size_is_data_error(trained_dir, dataset_dir,
+                                                               tmp_path, capsys, key, value,
+                                                               message):
+    path = rewrite_checkpoint(trained_dir / "checkpoint.tegc", tmp_path / "bad.tegc",
+                              _set_config(key, value))
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bad checkpoint config" in err and message in err and "Traceback" not in err
+
+
 def test_eval_runs_in_the_precision_the_checkpoint_was_saved_in(tmp_path, dataset_dir,
                                                                 capsys, monkeypatch):
     run = tmp_path / "run"
@@ -697,6 +741,46 @@ def test_ablate_heads_suite(tmp_path, dataset_dir):
     assert [int(r[0]) for r in rows[1:]] == [1, 2, 4, 8]
     for r in rows[1:]:
         assert 0.0 <= float(r[1]) <= 1.0
+
+
+def test_ablate_evaluates_each_cell_once(tmp_path, dataset_dir, monkeypatch):
+    calls = []
+    evaluate = tegraph.training.evaluate
+
+    def counting_evaluate(network, dataset):
+        calls.append(len(dataset))
+        return evaluate(network, dataset)
+
+    monkeypatch.setattr(tegraph.training, "evaluate", counting_evaluate)
+    monkeypatch.setattr(tegraph.ablate, "evaluate", counting_evaluate)
+    options = [o if o != "epochs=2" else "epochs=1" for o in TRAIN_OPTIONS]
+    argv = ["ablate", "--suite", "heads", "--data", str(dataset_dir / "manifest.jsonl"),
+            *options]
+    assert main([*argv, "--out", str(tmp_path / "once.csv")]) == 0
+    assert calls == [4] * len(tegraph.ablate.HEAD_GRID)  # train's own last-epoch eval
+
+    def train_then_evaluate(config, train_set, eval_set, tconfig):
+        network = tegraph.ablate.Network(config)
+        tegraph.ablate.train(network, train_set, eval_set, tconfig)
+        return evaluate(network, eval_set).accuracy
+
+    monkeypatch.setattr(tegraph.ablate, "_train_eval", train_then_evaluate)
+    assert main([*argv, "--out", str(tmp_path / "twice.csv")]) == 0
+    assert (tmp_path / "once.csv").read_bytes() == (tmp_path / "twice.csv").read_bytes()
+
+
+def test_ablate_without_an_eval_split_is_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sets": SYNTH_SPEC["sets"][:1]}))
+    assert main(["preprocess", str(spec), "--out", str(tmp_path / "data")]) == 0
+    out = tmp_path / "heads.csv"
+    options = [o if o != "epochs=2" else "epochs=1" for o in TRAIN_OPTIONS]
+    code = main(["ablate", "--suite", "heads", "--data", str(tmp_path / "data" / "manifest.jsonl"),
+                 "--out", str(out), *options])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "evaluation set is empty" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_ablate_modalities_suite(tmp_path, dataset_dir):

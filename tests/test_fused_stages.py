@@ -1,0 +1,190 @@
+"""The fused relevance-head, batchnorm-ReLU and spatial stages reproduce the
+op chains they replace bit for bit, outputs and every gradient."""
+import numpy as np
+import pytest
+
+from oracles import chain_batchnorm_relu, chain_calculated_heads, chain_spatial_graph_bn_relu
+from tegraph import gradcheck, precision
+from tegraph.batchnorm import batchnorm_relu
+from tegraph.blocks import SGBlock, TCBlock, sg_forward, spatial_graph_bn_relu, tc_forward
+from tegraph.errors import ShapeError
+from tegraph.graph import chain_graph, normalized_partitions
+from tegraph.temporal import MultiHeadTemporalConv, build_heads
+from tegraph.tensor import OP_NAMES, Tape, Tensor, add, calculated_heads, mul, sum_all
+
+FUSED = ["calculated_heads", "batchnorm_relu", "spatial_graph_bn_relu"]
+
+
+def assert_all_equal(fused, chain):
+    assert len(fused) == len(chain)
+    for n, (got, expected) in enumerate(zip(fused, chain)):
+        assert got.dtype == expected.dtype and got.shape == expected.shape, n
+        assert np.array_equal(got, expected), f"array {n} differs from the chain"
+
+
+def drawer(seed):
+    rng = np.random.default_rng(seed)
+    dtype = precision.dtype()
+    return lambda *shape: rng.normal(size=shape).astype(dtype)
+
+
+def run_heads(op, f_data, wa_data, wb_data, seeds, f_grad):
+    """Adjacencies and every gradient of one taped call; f already holds a
+    gradient, so the order of the heads' contributions to it is compared."""
+    f = Tensor(f_data)
+    f.grad = f_grad.copy()
+    w_a, w_b = [Tensor(w) for w in wa_data], [Tensor(w) for w in wb_data]
+    with Tape() as tape:
+        adjacencies = op(f, w_a, w_b)
+        loss = sum_all(mul(adjacencies[0], Tensor(seeds[0])))
+        for adjacency, seed in zip(adjacencies[1:], seeds[1:]):
+            loss = add(loss, sum_all(mul(adjacency, Tensor(seed))))
+        tape.backward(loss)
+    return [a.data for a in adjacencies] + [f.grad] + [w.grad for w in w_a + w_b]
+
+
+HEAD_CASES = [
+    # (heads, channels, reduced, frames, joints)
+    (1, 4, 1, 5, 3),
+    (3, 8, 2, 9, 4),
+    (2, 4, 1, 1, 5),     # T = 1
+    (4, 64, 16, 300, 25),  # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("heads,channels,reduced,frames,joints", HEAD_CASES)
+def test_calculated_heads_is_bit_identical_to_the_chain(mode, heads, channels, reduced,
+                                                        frames, joints):
+    with precision.scoped_mode(mode):
+        draw = drawer(heads * 1000 + channels + frames)
+        f, f_grad = draw(channels, frames, joints), draw(channels, frames, joints)
+        wa = [draw(reduced, channels) for _ in range(heads)]
+        wb = [draw(reduced, channels) for _ in range(heads)]
+        seeds = [draw(frames, frames) for _ in range(heads)]
+        fused = run_heads(calculated_heads, f, wa, wb, seeds, f_grad)
+        chain = run_heads(chain_calculated_heads, f, wa, wb, seeds, f_grad)
+        assert fused[0].dtype == precision.dtype()
+    assert_all_equal(fused, chain)
+
+
+def assert_rectified(out):
+    """At capture scale the ReLU both passes and blocks, so its mask is exercised."""
+    assert out.size < 1000 or ((out == 0).any() and (out > 0).any())
+
+
+def run_bn_stage(op, x_data, gamma_data, beta_data, seed, x_grad, training, *linear):
+    """Output, every gradient and the running buffers after one taped call.
+
+    `linear` is (weights, partitions, masks) for the spatial stage."""
+    x = Tensor(x_data)
+    x.grad = x_grad.copy()
+    gamma, beta = Tensor(gamma_data), Tensor(beta_data)
+    channels = gamma_data.shape[0]
+    running_mean = np.linspace(-0.5, 0.5, channels).astype(gamma_data.dtype)
+    running_var = np.linspace(0.5, 2.0, channels).astype(gamma_data.dtype)
+    tensors = [x, gamma, beta]
+    if linear:
+        weights, partitions, masks = linear
+        weights, masks = [Tensor(w) for w in weights], [Tensor(m) for m in masks]
+        tensors += weights + masks
+        linear = (weights, partitions, masks)
+    with Tape() as tape:
+        out = op(x, *linear, gamma, beta, running_mean, running_var, training)
+        tape.backward(out, seed=seed)
+    return [out.data, running_mean, running_var] + [t.grad for t in tensors]
+
+
+BN_CASES = [
+    # (channels, frames, joints)
+    (3, 4, 5),
+    (5, 1, 2),   # T = 1
+    (64, 300, 25),  # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("channels,frames,joints", BN_CASES)
+def test_batchnorm_relu_is_bit_identical_to_the_chain(training, mode, channels, frames,
+                                                      joints):
+    with precision.scoped_mode(mode):
+        draw = drawer(channels + frames)
+        x, x_grad = draw(channels, frames, joints), draw(channels, frames, joints)
+        gamma, beta, seed = draw(channels), draw(channels), draw(channels, frames, joints)
+        fused = run_bn_stage(batchnorm_relu, x, gamma, beta, seed, x_grad, training)
+        chain = run_bn_stage(chain_batchnorm_relu, x, gamma, beta, seed, x_grad, training)
+        assert fused[0].dtype == precision.dtype()
+    assert_rectified(fused[0])
+    assert_all_equal(fused, chain)
+
+
+SG_CASES = [
+    # (subsets, c_in, c_out, frames, joints)
+    (1, 4, 4, 6, 5),
+    (3, 3, 5, 7, 4),
+    (2, 6, 2, 1, 3),   # T = 1
+    (3, 64, 64, 300, 25),  # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("subsets,c_in,c_out,frames,joints", SG_CASES)
+def test_spatial_graph_bn_relu_is_bit_identical_to_the_chain(training, mode, subsets, c_in,
+                                                             c_out, frames, joints):
+    with precision.scoped_mode(mode):
+        draw = drawer(subsets * 100 + c_in + frames)
+        x, x_grad = draw(c_in, frames, joints), draw(c_in, frames, joints)
+        weights = [draw(c_out, c_in) for _ in range(subsets)]
+        partitions = np.random.default_rng(c_out).normal(size=(subsets, joints, joints))
+        masks = [draw(joints, joints) for _ in range(subsets)]
+        gamma, beta, seed = draw(c_out), draw(c_out), draw(c_out, frames, joints)
+        linear = (weights, partitions, masks)
+        fused = run_bn_stage(spatial_graph_bn_relu, x, gamma, beta, seed, x_grad, training,
+                             *linear)
+        chain = run_bn_stage(chain_spatial_graph_bn_relu, x, gamma, beta, seed, x_grad,
+                             training, *linear)
+        assert fused[0].dtype == precision.dtype()
+    assert_rectified(fused[0])
+    assert_all_equal(fused, chain)
+
+
+@pytest.mark.parametrize("name", FUSED)
+def test_fused_stages_are_registered_and_gradient_checked(name):
+    assert name in OP_NAMES and name in gradcheck.OP_CHECKS
+    for seed in range(3):
+        [(checked, result)] = list(gradcheck.check_all_ops(seed=seed, only=name))
+        assert checked == name and result.ok, str(result)
+
+
+def op_names(tape):
+    return [rule.__qualname__.split(".")[0] for rule in tape._records]
+
+
+def test_each_stage_is_one_record():
+    rng = np.random.default_rng(1)
+    sg = SGBlock(3, 8, normalized_partitions(chain_graph(4, 0)), "t.sg", seed=1)
+    tc = TCBlock(8, 3, 1, "t.tc", seed=1)
+    mhc = MultiHeadTemporalConv(3, "feature-calculated", 8, 6, 4, "t.tgc", seed=1)
+    with Tape() as tape:
+        s = sg_forward(sg, Tensor(rng.normal(size=(3, 6, 4))))
+        assert op_names(tape) == ["spatial_graph_bn_relu"]
+        adjacencies = build_heads(mhc, s)
+        assert op_names(tape)[1:] == ["calculated_heads"] and len(adjacencies) == 3
+        tc_forward(tc, s)
+        assert op_names(tape)[2:] == ["temporal_conv", "batchnorm_relu"]
+
+
+def test_validation():
+    f = Tensor(np.zeros((4, 5, 3)))
+    w = Tensor(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match="3-D"):
+        calculated_heads(Tensor(np.zeros((4, 5))), [w], [w])
+    with pytest.raises(ShapeError, match="1 a-projections for 2"):
+        calculated_heads(f, [w], [w, w])
+    with pytest.raises(ShapeError, match="b-projection 1"):
+        calculated_heads(f, [w, w], [w, Tensor(np.zeros((2, 3)))])
+    with pytest.raises(ShapeError, match="scale/shift"):
+        batchnorm_relu(f, Tensor(np.ones(3)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4),
+                       True)

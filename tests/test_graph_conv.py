@@ -1,55 +1,21 @@
-"""The fused graph convolutions reproduce the unfused op chains bit for bit."""
+"""The fused graph convolutions reproduce the unfused op chains bit for bit.
+
+The fused stages around them (relevance heads, batchnorm-ReLU and the whole
+spatial stage) are tested in test_fused_stages.py.
+"""
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from oracles import chain_spatial_graph_conv, chain_temporal_graph_mix
 from tegraph import gradcheck, precision
 from tegraph.blocks import SGBlock, sg_forward
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
 from tegraph.model import LayerSpec, ModelConfig, Network, backbone_config
 from tegraph.temporal import MultiHeadTemporalConv, temporal_graph_conv
-from tegraph.tensor import (
-    OP_NAMES,
-    Tape,
-    Tensor,
-    add,
-    constant,
-    matmul,
-    mul,
-    permute,
-    reshape,
-    spatial_graph_conv,
-    temporal_graph_mix,
-)
-
-
-def chain_spatial_graph_conv(x, weights, partitions, masks):
-    """The gate/channel-map/joint-mix chain sg_forward used to record per subset."""
-    c_in, t, j = x.shape
-    out = None
-    for weight, partition, mask in zip(weights, partitions, masks):
-        adjacency = mul(constant(partition), mask)
-        c_out = weight.shape[0]
-        mapped = reshape(matmul(weight, reshape(x, (c_in, t * j))), (c_out, t, j))
-        mixed = matmul(reshape(mapped, (c_out * t, j)), permute(adjacency, (1, 0)))
-        term = reshape(mixed, (c_out, t, j))
-        out = term if out is None else add(out, term)
-    return out
-
-
-def chain_temporal_graph_mix(x, adjacencies, weights):
-    """The time-major mix/head-output chain temporal_graph_conv used to record."""
-    c, t, j = x.shape
-    time_major = reshape(permute(x, (1, 0, 2)), (t, c * j))
-    out = None
-    for adjacency, weight in zip(adjacencies, weights):
-        mixed = reshape(matmul(adjacency, time_major), (t, c, j))
-        flat = reshape(permute(mixed, (1, 0, 2)), (c, t * j))
-        mapped = reshape(matmul(weight, flat), (c, t, j))
-        out = mapped if out is None else add(out, mapped)
-    return out
+from tegraph.tensor import OP_NAMES, Tape, Tensor, spatial_graph_conv, temporal_graph_mix
 
 
 def run(op, x_data, first, second, seed_grad, x_grad):
@@ -155,7 +121,7 @@ def test_sg_stage_records_one_graph_conv():
     x = Tensor(np.random.default_rng(1).normal(size=(3, 6, 4)))
     with Tape() as tape:
         sg_forward(block, x)
-    assert op_names(tape) == ["spatial_graph_conv", "batchnorm", "relu"]
+    assert op_names(tape) == ["spatial_graph_bn_relu"]
     with Tape() as tape:
         out = sg_forward(block, x, apply_bn_relu=False)
     assert op_names(tape) == ["spatial_graph_conv"]
@@ -187,7 +153,8 @@ def test_every_layer_records_one_op_per_graph_stage():
         network.loss(network.forward_sample(sample), 1)
     names = op_names(tape)
     tgraph_layers = sum(spec.mode != "tc" for spec in config.layers)
-    assert names.count("spatial_graph_conv") == len(config.layers)
+    assert names.count("spatial_graph_bn_relu") == len(config.layers)
+    assert names.count("calculated_heads") == tgraph_layers
     assert names.count("temporal_graph_mix") == tgraph_layers == 7
 
 
@@ -195,11 +162,11 @@ def test_every_layer_records_one_op_per_graph_stage():
 # call, so the count depends on the model's structure, not on T.
 LONGRANGE_LAYERS = [LayerSpec(3, 12, 1, "tc", 3), LayerSpec(12, 12, 1, "tgraph", 3)]
 RECORD_CASES = {
-    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 143),
-    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 398),
-    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 279),
+    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 73),
+    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 77),
+    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 139),
     "longrange": (ModelConfig(layers=LONGRANGE_LAYERS, num_classes=2, num_joints=5,
-                              fixed_length=8, heads=2, relevance="feature-learned"), 52),
+                              fixed_length=8, heads=2, relevance="feature-learned"), 47),
 }
 
 
@@ -212,7 +179,8 @@ def test_records_per_training_sample(name):
     with Tape() as tape:
         network.loss(network.forward_sample(sample), 0)
     assert len(tape) == expected
-    assert op_names(tape).count("spatial_graph_conv") == len(config.layers) * config.max_bodies
+    assert (op_names(tape).count("spatial_graph_bn_relu")
+            == len(config.layers) * config.max_bodies)
 
 
 def test_validation():
