@@ -12,7 +12,9 @@ pass).  `batchnorm`'s rule keeps the normalized input `xhat` and the
 per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
 relu(batchnorm(x)) as one record: it keeps the same arrays and rebuilds the
 ReLU mask from xhat.  `blocks.spatial_graph_bn_relu` keeps neither, and
-rebuilds xhat from the conv output with `_center`.
+rebuilds xhat from the conv output with `_center`;
+`blocks.spatial_temporal_stage` does the same and has `_affine` write its
+output straight into the temporal conv's padded input.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into
@@ -61,10 +63,11 @@ def _center(x: np.ndarray, mean: np.ndarray, sigma: np.ndarray,
     return xhat
 
 
-def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """gamma * xhat + beta, the batchnorm output."""
+def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """gamma * xhat + beta, the batchnorm output, written into `out` if given."""
     bshape = (xhat.shape[0],) + (1,) * (xhat.ndim - 1)
-    out = gamma.reshape(bshape) * xhat
+    out = np.multiply(gamma.reshape(bshape), xhat, out=out)
     out += beta.reshape(bshape)
     return out
 

@@ -13,8 +13,10 @@ The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
 their own batchnorm and ReLU: the whole spatial stage conv -> bn -> relu is
 the one `spatial_graph_bn_relu` record, and the temporal block's bn -> relu
-is one `batchnorm_relu` record.  Oracle tests bypass bn and ReLU via
-apply_bn_relu to reach the raw linear maps.
+is one `batchnorm_relu` record.  Where the temporal block reads the spatial
+output s directly (a tc-mode layer), `spatial_temporal_stage` records both
+blocks as one record that never keeps s.  Oracle tests bypass bn and ReLU
+via apply_bn_relu to reach the raw linear maps.
 """
 from __future__ import annotations
 
@@ -31,6 +33,7 @@ from .tensor import (
     _accumulate,
     _check_finite,
     _spatial_graph,
+    _temporal,
     active_tape,
     matmul,
     reshape,
@@ -121,7 +124,7 @@ def spatial_graph_bn_relu(x: Tensor, weights: Sequence[Tensor],
     return out
 
 
-def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
+def _check_input(block: SGBlock, f: Tensor) -> None:
     if f.data.ndim != 3 or f.shape[0] != block.in_channels:
         raise ShapeError(
             f"{block.identifier}: expected ({block.in_channels}, T, J), got {f.shape}"
@@ -131,6 +134,10 @@ def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
         raise ShapeError(
             f"{block.identifier}: feature has {f.shape[2]} joints, graph has {joints}"
         )
+
+
+def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
+    _check_input(block, f)
     weights = [w.value for w in block.weights]
     masks = [mask.value for mask in block.masks]
     if not apply_bn_relu:
@@ -208,3 +215,78 @@ class ChannelProjection:
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]
+
+
+def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
+    """tc_forward(tc, sg_forward(sg, f)) as one record, bit for bit.
+
+    The rule keeps f, the gates, the spatial batchnorm's per-channel mean,
+    sigma and scale, the temporal kernel and the temporal batchnorm's xhat
+    and scale, never the spatial output s.  It replays the temporal
+    bn-ReLU backward, rebuilds the channel maps, the conv output and the
+    spatial xhat as `spatial_graph_bn_relu` does, writes s = relu(gamma *
+    xhat + beta) straight into the zero-padded buffer the kernel-gradient
+    taps read, and then replays the temporal conv and the spatial stage
+    backward.  The spatial ReLU mask is s > 0.
+    """
+    _check_input(sg, f)
+    if tc.channels != sg.out_channels:
+        raise ShapeError(f"{tc.identifier}: takes {tc.channels} channels, "
+                         f"{sg.identifier} makes {sg.out_channels}")
+    weights = [w.value for w in sg.weights]
+    channel_map, conv, graph_backward = _spatial_graph(
+        f, weights, sg.partitions, [mask.value for mask in sg.masks])
+    conv_out = conv(channel_map)
+    _check_finite(conv_out, "spatial_graph_conv")
+    bn = sg.bn
+    gamma, beta = bn.gamma.value.data, bn.beta.value.data
+    s_data, _, mean, sigma, scale = _normalize(conv_out, bn.gamma.value, bn.beta.value,
+                                               bn.running_mean, bn.running_var, bn.training,
+                                               bn.eps, bn.momentum)
+    del conv_out
+    blank, tconv, tc_backward = _temporal(s_data.shape, tc.kernel.value, tc.stride, tc.pad)
+    padded, interior = blank()
+    np.maximum(s_data, 0.0, out=interior)
+    del s_data, interior
+    t_data = tconv(padded)
+    del padded
+    _check_finite(t_data, "temporal_conv")
+    tc_bn = tc.bn
+    tc_gamma, tc_beta = tc_bn.gamma.value.data, tc_bn.beta.value.data
+    out_data, tc_xhat, _, _, tc_scale = _normalize(t_data, tc_bn.gamma.value, tc_bn.beta.value,
+                                                   tc_bn.running_mean, tc_bn.running_var,
+                                                   tc_bn.training, tc_bn.eps, tc_bn.momentum)
+    del t_data
+    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
+    tape = active_tape()
+    if tape is not None:
+        out_cell = out.cell
+        gamma_cell, beta_cell = bn.gamma.value.cell, bn.beta.value.cell
+        tc_gamma_cell, tc_beta_cell = tc_bn.gamma.value.cell, tc_bn.beta.value.cell
+        training, tc_training = bn.training, tc_bn.training
+        subsets = len(weights)
+
+        def rule():
+            if out_cell.grad is None:
+                return
+            dy = out_cell.grad * (_affine(tc_xhat, tc_gamma, tc_beta) > 0)
+            d_beta, d_gamma, dt = _gradients(dy, tc_xhat, tc_scale, tc_training)
+            del dy
+            _accumulate(tc_beta_cell, d_beta, fresh=True)
+            _accumulate(tc_gamma_cell, d_gamma, fresh=True)
+            maps = [channel_map(k) for k in range(subsets)]
+            xhat = _center(conv(maps.__getitem__), mean, sigma)
+            padded, s = blank()
+            np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
+            ds = tc_backward(dt, padded)
+            del dt
+            dy = ds * (s > 0)
+            del ds, padded, s  # freed before the graph-conv backward allocates
+            d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
+            del xhat, dy
+            _accumulate(beta_cell, d_beta, fresh=True)
+            _accumulate(gamma_cell, d_gamma, fresh=True)
+            graph_backward(dx, maps.__getitem__)
+
+        tape.record(rule)
+    return out

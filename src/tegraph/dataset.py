@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import re
 from pathlib import Path
 
@@ -125,6 +126,11 @@ def generate_synthetic(spec: dict) -> tuple[list[tuple[SkeletonSequence, str]], 
         elif joints != block_joints:
             raise ConfigError("all synthetic sets must agree on the joint count")
         split = str(block.get("split", "train"))
+        prefix = str(block.get("prefix", split))
+        if prefix in ("", ".", "..") or any(c in prefix for c in "/\\\0"):
+            field = "prefix" if "prefix" in block else "split"
+            raise ConfigError(f"synthetic spec: {where} {field} {prefix!r} names stream "
+                              f"files, so it must be a plain file name")
         frames = _spec_field(block, where, "frames", 32, int, 1)
         sigma = _spec_field(block, where, "sigma", 0.05, float, 0)
         seed = _spec_field(block, where, "seed", 0, int, 0)
@@ -137,7 +143,6 @@ def generate_synthetic(spec: dict) -> tuple[list[tuple[SkeletonSequence, str]], 
                                               sigma, seed)
         else:
             raise ConfigError(f"unknown synthetic generator {kind!r}")
-        prefix = block.get("prefix", split)
         for seq in samples:
             seq.source_id = f"{prefix}-{seq.source_id}"
             out.append((seq, split))
@@ -191,6 +196,11 @@ def _check_record(record, where: str) -> None:
     files = record["files"]
     if not isinstance(files, dict) or not all(isinstance(v, str) for v in files.values()):
         raise DataError(f"{where}: files must map stream kinds to paths")
+    for path in files.values():
+        if "\0" in path:
+            raise DataError(f"{where}: stream path {path!r} holds a NUL byte")
+        if os.path.isabs(path) or os.path.normpath(path).split(os.sep)[0] == os.pardir:
+            raise DataError(f"{where}: stream path {path!r} leaves the dataset directory")
 
 
 def read_manifest(manifest_path) -> list[dict]:

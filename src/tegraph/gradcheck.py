@@ -24,7 +24,14 @@ import numpy as np
 
 from . import precision
 from .batchnorm import batchnorm, batchnorm_relu
-from .blocks import spatial_graph_bn_relu
+from .blocks import (
+    SGBlock,
+    TCBlock,
+    sg_forward,
+    spatial_graph_bn_relu,
+    spatial_temporal_stage,
+    tc_forward,
+)
 from .errors import NumericError
 from .tensor import (
     OP_NAMES,
@@ -308,6 +315,38 @@ def _check_spatial_graph_bn_relu(rng):
     return f, wrt
 
 
+def _check_spatial_temporal_stage(rng):
+    # Stride-1 and stride-2 stages after one spatial block, so that each
+    # spatial parameter takes two contributions.
+    sg = SGBlock(3, 2, rng.normal(size=(2, 4, 4)), "sg")
+    tcs = [TCBlock(2, 3, stride, f"tc{stride}") for stride in (1, 2)]
+    params = sg.parameters() + [p for tc in tcs for p in tc.parameters()]
+
+    def draw(r):
+        for p in params:
+            p.assign(r.uniform(0.5, 1.5, size=p.shape) if p.identifier.endswith(".gamma")
+                     else r.normal(size=p.shape))
+        return (Tensor(r.normal(size=(3, 5, 4))),)
+
+    def pre_relu(x):
+        def bn(t, block):
+            return batchnorm(t, block.bn.gamma.value, block.bn.beta.value, np.zeros(2),
+                             np.ones(2), True)
+
+        s = bn(sg_forward(sg, x, apply_bn_relu=False), sg)
+        ts = [bn(tc_forward(tc, relu(s), apply_bn_relu=False), tc) for tc in tcs]
+        return Tensor(np.concatenate([t.data.ravel() for t in (s, *ts)]))
+
+    (x,) = _away_from_the_kink(rng, draw, pre_relu)
+    ws = [Tensor(rng.normal(size=(2, frames, 4))) for frames in (5, 3)]
+
+    def f():
+        return add(*(sum_all(mul(spatial_temporal_stage(sg, tc, x), w))
+                     for tc, w in zip(tcs, ws)))
+
+    return f, [("x", x), *params]
+
+
 def _check_calculated_heads(rng):
     f_in = Tensor(rng.normal(size=(4, 5, 2)))
     w_a = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
@@ -372,6 +411,7 @@ OP_CHECKS = {
     "temporal_conv": _check_temporal_conv,
     "spatial_graph_conv": _check_spatial_graph_conv,
     "spatial_graph_bn_relu": _check_spatial_graph_bn_relu,
+    "spatial_temporal_stage": _check_spatial_temporal_stage,
     "calculated_heads": _check_calculated_heads,
     "temporal_graph_mix": _check_temporal_graph_mix,
 }

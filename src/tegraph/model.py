@@ -14,7 +14,8 @@ The temporal graph stage sits inside its own additive skip, so with its
 zero-initialized output maps a freshly built tgraph/both layer computes
 exactly what the corresponding tc (or plain) layer computes; combined with
 name-keyed parameter init this makes inserting the stage a bit-exact no-op
-at initialization.
+at initialization.  A tc layer records SG and its tc as the one
+`spatial_temporal_stage` record, which never keeps s.
 
 The network runs each body slot through shared weights: input batchnorm
 over (coordinate, joint) channel pairs, the layer stack, global average
@@ -35,6 +36,7 @@ from .blocks import (
     SGBlock,
     TCBlock,
     sg_forward,
+    spatial_temporal_stage,
     tc_forward,
     tc_output_length,
 )
@@ -222,14 +224,16 @@ class TGCNLayer:
                                               spec.stride, f"{identifier}.res", seed)
 
     def __call__(self, f: Tensor, collector: list | None = None) -> Tensor:
-        s = sg_forward(self.sg, f)
-        if self.tgc is not None:
+        if self.tgc is None:
+            t = spatial_temporal_stage(self.sg, self.tc, f)
+        else:
+            s = sg_forward(self.sg, f)
             adjacencies = build_heads(self.tgc, s)
             if collector is not None:
                 for n, adj in enumerate(adjacencies):
                     collector.append((f"{self.identifier}.head{n}", adj.data.copy()))
             s = add(s, temporal_graph_conv(self.tgc, s, adjacencies))
-        t = tc_forward(self.tc, s) if self.tc is not None else s
+            t = tc_forward(self.tc, s) if self.tc is not None else s
         res = f if self.residual is None else self.residual(f)
         return relu(add(t, res))
 

@@ -12,7 +12,8 @@ one record: `temporal_conv` (the windowed temporal convolution),
 `spatial_graph_conv` (the partitioned joint mixing), `calculated_heads`
 (every feature-calculated relevance head of a layer, softmax included) and
 `temporal_graph_mix` (the multi-head frame mixing) here, `batchnorm_relu`
-in batchnorm.py and `spatial_graph_bn_relu` (the whole spatial stage) in
+in batchnorm.py, and `spatial_graph_bn_relu` (the whole spatial stage) and
+`spatial_temporal_stage` (a tc layer's spatial and temporal stages) in
 blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
 for bit and recomputes what its rule needs from its inputs.
 
@@ -28,20 +29,23 @@ keep less than the chain did: `calculated_heads` keeps f, the projections
 and its adjacencies, never the score operands; `batchnorm_relu` keeps xhat
 and rebuilds its ReLU mask from it; `spatial_graph_bn_relu` keeps the layer
 input, the gates and the per-channel mean, sigma and scale, and rebuilds
-the conv output, xhat and the mask in its rule.  Every other intermediate
-is freed as soon as the forward pass drops it, while the tape is still
-live.
+the conv output, xhat and the mask in its rule; `spatial_temporal_stage`
+keeps what those two keep plus the temporal kernel, never the spatial
+output s that `temporal_conv` would keep: its rule rebuilds s straight into
+the zero-padded buffer the kernel-gradient taps read.  Every other
+intermediate is freed as soon as the forward pass drops it, while the tape
+is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
 to the cell as they are (`_accumulate(..., fresh=True)`): the results of
 `matmul`, `mul`, `scale`, `relu`, `softmax_rows` and the batchnorms, the
-input and mask gradients of `spatial_graph_conv`, the input and projection
-gradients of `calculated_heads` and the input-gradient slice of
-`temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
-sums pass on views of their output's gradient or `broadcast_to` views, so
-they keep copying.
+input and mask gradients of `spatial_graph_conv` and of the two spatial
+stages, the input and projection gradients of `calculated_heads` and the
+input-gradient slice of `temporal_conv`.  `add`, `sub`, `reshape`,
+`permute`, the slices and the sums pass on views of their output's
+gradient or `broadcast_to` views, so they keep copying.
 
 Concurrency: training runs on the calling thread; only evaluation
 (`training.predict_logits`) forwards samples on worker threads, which
@@ -253,6 +257,7 @@ OP_NAMES = [
     "temporal_conv",
     "spatial_graph_conv",
     "spatial_graph_bn_relu",
+    "spatial_temporal_stage",
     "calculated_heads",
     "temporal_graph_mix",
 ]
@@ -503,6 +508,64 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Te
     return out
 
 
+def _temporal(shape: tuple, kernel: Tensor, stride: int, pad: int):
+    """Check a temporal conv of an input shaped `shape` and return its arithmetic as closures.
+
+    `blank()` is a zero (C_in, T + 2 pad, J) buffer and its (C_in, T, J)
+    interior, which the caller fills with the input.  `conv(padded)` is the
+    (C_out, T_out, J) output: tap k of every window is one (C_in, T_out * J)
+    block multiplied by kernel[:, :, k], summed in order k = 0..K-1.
+    `backward(g, padded)` adds the kernel gradient to the kernel's cell and
+    returns the input gradient, a fresh array's interior view, with the taps
+    replayed k = K-1..0.  The closures hold the kernel, never a Tensor.
+    """
+    if len(shape) != 3 or kernel.data.ndim != 3:
+        raise ShapeError(f"temporal_conv expects 3-D operands, got {shape} and {kernel.shape}")
+    c_in, frames, joints = shape
+    c_out, kernel_in, taps = kernel.shape
+    if kernel_in != c_in:
+        raise ShapeError(f"temporal_conv: kernel {kernel.shape} does not take {c_in} channels")
+    if stride < 1 or pad < 0:
+        raise ShapeError("temporal_conv: stride must be positive and pad non-negative")
+    out_frames = (frames + 2 * pad - taps) // stride + 1
+    if out_frames < 1:
+        raise ShapeError(f"temporal_conv: {frames} frames with pad {pad} are shorter "
+                         f"than the kernel ({taps})")
+    span = (out_frames - 1) * stride + 1
+    kernel_data, kernel_cell = kernel.data, kernel.cell
+
+    def blank() -> tuple[np.ndarray, np.ndarray]:
+        padded = np.zeros((c_in, frames + 2 * pad, joints), kernel_data.dtype)
+        return padded, padded[:, pad:pad + frames]
+
+    def tap(padded: np.ndarray, k: int) -> np.ndarray:
+        if stride == 1:  # a strided (C_in, T_out * J) block BLAS reads in place
+            return padded.reshape(c_in, -1)[:, k * joints:(k + out_frames) * joints]
+        return np.ascontiguousarray(padded[:, k:k + span:stride]).reshape(c_in, -1)
+
+    def weight(k: int) -> np.ndarray:
+        return np.ascontiguousarray(kernel_data[:, :, k])
+
+    def conv(padded: np.ndarray) -> np.ndarray:
+        acc = weight(0) @ tap(padded, 0)
+        for k in range(1, taps):
+            acc += weight(k) @ tap(padded, k)
+        return acc.reshape(c_out, out_frames, joints)
+
+    def backward(g: np.ndarray, padded: np.ndarray) -> np.ndarray:
+        g = g.reshape(c_out, -1)
+        d_kernel = np.zeros_like(kernel_data)
+        d_padded = np.zeros_like(padded)
+        for k in reversed(range(taps)):
+            d_kernel[:, :, k] = g @ tap(padded, k).T
+            d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
+                c_in, out_frames, joints)
+        _accumulate(kernel_cell, d_kernel)
+        return d_padded[:, pad:pad + frames]
+
+    return blank, conv, backward
+
+
 def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     """(C_in, T, J) x (C_out, C_in, K) -> (C_out, T_out, J), a K x 1 convolution.
 
@@ -515,53 +578,24 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     The backward rule re-pads `x` and rebuilds the taps instead of keeping
     them.
     """
-    if x.data.ndim != 3 or kernel.data.ndim != 3:
-        raise ShapeError(f"temporal_conv expects 3-D operands, got {x.shape} and {kernel.shape}")
-    c_in, frames, joints = x.shape
-    c_out, kernel_in, taps = kernel.shape
-    if kernel_in != c_in:
-        raise ShapeError(f"temporal_conv: kernel {kernel.shape} does not take {c_in} channels")
-    if stride < 1 or pad < 0:
-        raise ShapeError("temporal_conv: stride must be positive and pad non-negative")
-    out_frames = (frames + 2 * pad - taps) // stride + 1
-    if out_frames < 1:
-        raise ShapeError(f"temporal_conv: {frames} frames with pad {pad} are shorter "
-                         f"than the kernel ({taps})")
-    widths = ((0, 0), (pad, pad), (0, 0))
-    span = (out_frames - 1) * stride + 1
-    x_data, kernel_data = x.data, kernel.data
+    blank, conv, backward = _temporal(x.data.shape, kernel, stride, pad)
+    x_data = x.data
 
-    def tap(padded: np.ndarray, k: int) -> np.ndarray:
-        if stride == 1:  # a strided (C_in, T_out * J) block BLAS reads in place
-            return padded.reshape(c_in, -1)[:, k * joints:(k + out_frames) * joints]
-        return np.ascontiguousarray(padded[:, k:k + span:stride]).reshape(c_in, -1)
+    def padded() -> np.ndarray:
+        buffer, interior = blank()
+        interior[...] = x_data
+        return buffer
 
-    def weight(k: int) -> np.ndarray:
-        return np.ascontiguousarray(kernel_data[:, :, k])
-
-    padded = np.pad(x_data, widths)
-    acc = weight(0) @ tap(padded, 0)
-    for k in range(1, taps):
-        acc += weight(k) @ tap(padded, k)
-    out = Tensor(acc.reshape(c_out, out_frames, joints))
+    out = Tensor(conv(padded()))
     _check_finite(out.data, "temporal_conv")
     tape = active_tape()
     if tape is not None:
-        x_cell, kernel_cell, out_cell = x.cell, kernel.cell, out.cell
+        x_cell, out_cell = x.cell, out.cell
 
         def rule():
             if out_cell.grad is None:
                 return
-            g = out_cell.grad.reshape(c_out, -1)
-            padded = np.pad(x_data, widths)
-            d_kernel = np.zeros_like(kernel_data)
-            d_padded = np.zeros_like(padded)
-            for k in reversed(range(taps)):
-                d_kernel[:, :, k] = g @ tap(padded, k).T
-                d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
-                    c_in, out_frames, joints)
-            _accumulate(kernel_cell, d_kernel)
-            _accumulate(x_cell, d_padded[:, pad:pad + frames], fresh=True)
+            _accumulate(x_cell, backward(out_cell.grad, padded()), fresh=True)
 
         tape.record(rule)
     return out

@@ -24,7 +24,8 @@ Memory: each training sample records its own Tape and replays it before
 the next sample starts.  During the forward pass the tape retains only
 what the backward rules read (see tensor.py), so a step's peak is one
 sample's retained arrays on top of the parameters, their gradients and
-the momentum buffers.  The next step reuses the memory the last one freed
+the momentum buffers.  A tc layer keeps neither its spatial output nor
+that output's xhat: its one record rebuilds both in backward.  The next step reuses the memory the last one freed
 only if the allocator keeps it: `tegraph.cli.main` raises glibc's trim and
 mmap thresholds for that, which saves about 70k minor page faults per
 capture-scale step and costs no peak RSS, since resident memory stays at

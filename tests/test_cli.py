@@ -3,6 +3,7 @@ import csv
 import json
 import logging
 import re
+import shutil
 import struct
 from pathlib import Path
 from types import SimpleNamespace
@@ -329,6 +330,28 @@ def test_preprocess_capture_that_is_not_utf8_is_data_error(tmp_path, capsys):
     assert "S001C001P001R001A001.skeleton: not UTF-8 text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("prefix", "../../outside"),
+    ("prefix", "a/b"),
+    ("prefix", "a\\b"),
+    ("prefix", ".."),
+    ("prefix", ""),
+    ("prefix", "a\u0000b"),
+    ("split", "../outside"),
+])
+def test_preprocess_stream_name_that_is_not_a_file_name_is_config_error(tmp_path, capsys,
+                                                                       field, value):
+    block = {k: v for k, v in SYNTH_SPEC["sets"][0].items() if k != "prefix"}
+    spec = tmp_path / "spec" / "spec.json"
+    spec.parent.mkdir()
+    spec.write_text(json.dumps({"sets": [dict(block, **{field: value})]}))
+    out = tmp_path / "spec" / "data"
+    assert main(["preprocess", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"set 0 {field} {value!r} names stream files" in err and "Traceback" not in err
+    assert [p for p in tmp_path.rglob("*") if p.is_file()] == [spec]  # nothing written
+
+
 # ---------------------------------------------------------------------------
 # train / eval / fuse
 
@@ -526,6 +549,8 @@ def test_train_and_eval_log_the_blas_and_worker_count(trained_dir, dataset_dir, 
      "manifest.jsonl: line 1: label -1 is negative"),
     ('{"split": "train", "label": 0, "sample_id": "a", "files": ["a.tegt"]}',
      "line 1: files must map"),
+    ('{"split": "train", "label": 0, "sample_id": "a", "files": {"joint-spatial": "a\\u0000"}}',
+     "line 1: stream path 'a\\x00' holds a NUL byte"),
 ])
 def test_train_malformed_manifest_is_data_error(tmp_path, capsys, line, message):
     manifest = tmp_path / "manifest.jsonl"
@@ -534,6 +559,27 @@ def test_train_malformed_manifest_is_data_error(tmp_path, capsys, line, message)
                  *TRAIN_OPTIONS])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["{outside}", "../outside.tegt",
+                                  "streams/../../outside.tegt"])
+def test_manifest_stream_path_outside_the_dataset_is_data_error(tmp_path, dataset_dir, capsys,
+                                                                path):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir / "streams", data / "streams")
+    first, second, *rest = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+    record = json.loads(second)
+    outside = tmp_path / "outside.tegt"  # a readable stream, so only the check refuses it
+    outside.write_bytes((data / record["files"]["joint-spatial"]).read_bytes())
+    path = path.format(outside=outside)
+    record["files"]["joint-spatial"] = path
+    manifest = data / "manifest.jsonl"
+    manifest.write_text("\n".join([first, json.dumps(record), *rest]) + "\n")
+    code = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run"),
+                 *TRAIN_OPTIONS])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert f"manifest.jsonl: line 2: stream path {path!r} leaves the dataset directory" in err
 
 
 def test_train_manifest_that_is_not_utf8_is_data_error(tmp_path, capsys):

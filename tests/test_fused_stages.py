@@ -1,18 +1,27 @@
-"""The fused relevance-head, batchnorm-ReLU and spatial stages reproduce the
-op chains they replace bit for bit, outputs and every gradient."""
+"""The fused relevance-head, batchnorm-ReLU, spatial and spatial-temporal
+stages reproduce the op chains they replace bit for bit, outputs and every
+gradient."""
 import numpy as np
 import pytest
 
 from oracles import chain_batchnorm_relu, chain_calculated_heads, chain_spatial_graph_bn_relu
 from tegraph import gradcheck, precision
 from tegraph.batchnorm import batchnorm_relu
-from tegraph.blocks import SGBlock, TCBlock, sg_forward, spatial_graph_bn_relu, tc_forward
+from tegraph.blocks import (
+    SGBlock,
+    TCBlock,
+    sg_forward,
+    spatial_graph_bn_relu,
+    spatial_temporal_stage,
+    tc_forward,
+    tc_output_length,
+)
 from tegraph.errors import ShapeError
-from tegraph.graph import chain_graph, normalized_partitions
+from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
 from tegraph.temporal import MultiHeadTemporalConv, build_heads
 from tegraph.tensor import OP_NAMES, Tape, Tensor, add, calculated_heads, mul, sum_all
 
-FUSED = ["calculated_heads", "batchnorm_relu", "spatial_graph_bn_relu"]
+FUSED = ["calculated_heads", "batchnorm_relu", "spatial_graph_bn_relu", "spatial_temporal_stage"]
 
 
 def assert_all_equal(fused, chain):
@@ -150,6 +159,57 @@ def test_spatial_graph_bn_relu_is_bit_identical_to_the_chain(training, mode, sub
     assert_all_equal(fused, chain)
 
 
+def run_tc_layer(fused, c_in, c_out, frames, joints, kernel_t, stride, training):
+    """Output, every gradient and the running buffers of a tc layer's spatial
+    and temporal blocks, fused into one record or chained as sg_forward ->
+    tc_forward; x already holds a gradient, so the order of the spatial
+    stage's contributions to it is compared as well."""
+    draw = drawer(c_in + c_out + frames + stride)
+    graph = ntu_graph() if joints == 25 else chain_graph(joints, 0)
+    sg = SGBlock(c_in, c_out, normalized_partitions(graph), "l.sg", seed=3)
+    tc = TCBlock(c_out, kernel_t, stride, "l.tc", seed=3)
+    params = sg.parameters() + tc.parameters()
+    for p in params:
+        p.assign(p.value.data + 0.2 * draw(*p.shape))
+    for bn in (sg.bn, tc.bn):
+        bn.running_mean += 0.1 * draw(c_out)
+        bn.running_var += np.abs(draw(c_out))
+        bn.training = training
+    x = Tensor(draw(c_in, frames, joints))
+    x.grad = draw(c_in, frames, joints)
+    seed = draw(c_out, tc_output_length(frames, stride), joints)
+    with Tape() as tape:
+        out = spatial_temporal_stage(sg, tc, x) if fused else tc_forward(tc, sg_forward(sg, x))
+        tape.backward(out, seed=seed)
+    buffers = [buf for bn in (sg.bn, tc.bn) for _, buf in bn.buffers()]
+    return [out.data, x.grad] + [p.grad for p in params] + buffers
+
+
+TC_LAYER_CASES = [
+    # (c_in, c_out, frames, joints, kernel_t, stride)
+    (3, 4, 7, 4, 3, 1),
+    (3, 4, 7, 4, 3, 2),
+    (4, 6, 1, 3, 9, 2),   # T = 1 < stride
+    (64, 64, 300, 25, 9, 1),   # capture-scale layers
+    (64, 128, 300, 25, 9, 2),
+    (128, 128, 150, 25, 9, 1),
+]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("c_in,c_out,frames,joints,kernel_t,stride", TC_LAYER_CASES)
+def test_spatial_temporal_stage_is_bit_identical_to_the_chain(training, mode, c_in, c_out,
+                                                              frames, joints, kernel_t, stride):
+    case = (c_in, c_out, frames, joints, kernel_t, stride, training)
+    with precision.scoped_mode(mode):
+        fused = run_tc_layer(True, *case)
+        chain = run_tc_layer(False, *case)
+        assert fused[0].dtype == precision.dtype()
+    assert_rectified(fused[0])
+    assert_all_equal(fused, chain)
+
+
 @pytest.mark.parametrize("name", FUSED)
 def test_fused_stages_are_registered_and_gradient_checked(name):
     assert name in OP_NAMES and name in gradcheck.OP_CHECKS
@@ -174,6 +234,8 @@ def test_each_stage_is_one_record():
         assert op_names(tape)[1:] == ["calculated_heads"] and len(adjacencies) == 3
         tc_forward(tc, s)
         assert op_names(tape)[2:] == ["temporal_conv", "batchnorm_relu"]
+        spatial_temporal_stage(sg, tc, Tensor(rng.normal(size=(3, 6, 4))))
+        assert op_names(tape)[4:] == ["spatial_temporal_stage"]
 
 
 def test_validation():
@@ -188,3 +250,8 @@ def test_validation():
     with pytest.raises(ShapeError, match="scale/shift"):
         batchnorm_relu(f, Tensor(np.ones(3)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4),
                        True)
+    sg = SGBlock(4, 8, normalized_partitions(chain_graph(3, 0)), "t.sg")
+    with pytest.raises(ShapeError, match="t.tc: takes 6 channels, t.sg makes 8"):
+        spatial_temporal_stage(sg, TCBlock(6, 3, 1, "t.tc"), f)
+    with pytest.raises(ShapeError, match="t.sg: expected"):
+        spatial_temporal_stage(sg, TCBlock(8, 3, 1, "t.tc"), Tensor(np.zeros((3, 5, 3))))
