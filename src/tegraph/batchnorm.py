@@ -13,8 +13,9 @@ per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
 relu(batchnorm(x)) as one record: it keeps the same arrays and rebuilds the
 ReLU mask from xhat.  `blocks.spatial_graph_bn_relu` keeps neither, and
 rebuilds xhat from the conv output with `_center`;
-`blocks.spatial_temporal_stage` does the same and has `_affine` write its
-output straight into the temporal conv's padded input.
+`blocks.spatial_temporal_stage` does the same for both of its batchnorms,
+running the temporal conv again, and has `_affine` write its spatial output
+straight into the temporal conv's padded input.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into

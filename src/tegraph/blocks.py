@@ -15,8 +15,9 @@ their own batchnorm and ReLU: the whole spatial stage conv -> bn -> relu is
 the one `spatial_graph_bn_relu` record, and the temporal block's bn -> relu
 is one `batchnorm_relu` record.  Where the temporal block reads the spatial
 output s directly (a tc-mode layer), `spatial_temporal_stage` records both
-blocks as one record that never keeps s.  Oracle tests bypass bn and ReLU
-via apply_bn_relu to reach the raw linear maps.
+blocks as one record that keeps neither s nor the temporal conv output.
+Oracle tests bypass bn and ReLU via apply_bn_relu to reach the raw linear
+maps.
 """
 from __future__ import annotations
 
@@ -92,9 +93,10 @@ def spatial_graph_bn_relu(x: Tensor, weights: Sequence[Tensor],
     """relu(batchnorm(spatial_graph_conv(x, ...), ...)) as one record, bit for bit.
 
     The rule keeps x, the gates and the per-channel mean, sigma and scale,
-    never the conv output, xhat or a mask.  It recomputes the channel maps
-    that the graph-conv backward reads anyway, rebuilds the conv output from
-    them, and from that xhat and the ReLU mask gamma * xhat + beta > 0.
+    never the conv output, xhat, a channel map or a mask.  It rebuilds the
+    conv output one channel map at a time, and from that xhat and the ReLU
+    mask gamma * xhat + beta > 0; the graph-conv backward rebuilds each map
+    again as it reaches it, so no more than one is alive.
     """
     channel_map, conv, backward = _spatial_graph(x, weights, partitions, masks)
     conv_out = conv(channel_map)
@@ -106,19 +108,17 @@ def spatial_graph_bn_relu(x: Tensor, weights: Sequence[Tensor],
     if tape is not None:
         gamma_cell, beta_cell, out_cell = gamma.cell, beta.cell, out.cell
         gamma_data, beta_data = gamma.data, beta.data
-        subsets = len(weights)
 
         def rule():
             if out_cell.grad is None:
                 return
-            maps = [channel_map(k) for k in range(subsets)]
-            xhat = _center(conv(maps.__getitem__), mean, sigma)
+            xhat = _center(conv(channel_map), mean, sigma)
             dy = out_cell.grad * (_affine(xhat, gamma_data, beta_data) > 0)
             d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
             del xhat, dy  # freed before the graph-conv backward allocates
             _accumulate(beta_cell, d_beta, fresh=True)
             _accumulate(gamma_cell, d_gamma, fresh=True)
-            backward(dx, maps.__getitem__)
+            backward(dx, channel_map)
 
         tape.record(rule)
     return out
@@ -220,13 +220,14 @@ class ChannelProjection:
 def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     """tc_forward(tc, sg_forward(sg, f)) as one record, bit for bit.
 
-    The rule keeps f, the gates, the spatial batchnorm's per-channel mean,
-    sigma and scale, the temporal kernel and the temporal batchnorm's xhat
-    and scale, never the spatial output s.  It replays the temporal
-    bn-ReLU backward, rebuilds the channel maps, the conv output and the
-    spatial xhat as `spatial_graph_bn_relu` does, writes s = relu(gamma *
-    xhat + beta) straight into the zero-padded buffer the kernel-gradient
-    taps read, and then replays the temporal conv and the spatial stage
+    The rule keeps f, the gates, the temporal kernel and both batchnorms'
+    per-channel mean, sigma and scale, never the spatial output s, the
+    temporal conv output or either xhat.  It rebuilds the conv output and
+    the spatial xhat as `spatial_graph_bn_relu` does, writes s = relu(gamma
+    * xhat + beta) straight into the zero-padded buffer the kernel-gradient
+    taps read, runs the temporal conv on that buffer once more and centers
+    its output into the temporal xhat.  Then it replays the temporal
+    bn-ReLU backward, the temporal conv backward and the spatial stage
     backward.  The spatial ReLU mask is s > 0.
     """
     _check_input(sg, f)
@@ -253,9 +254,9 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     _check_finite(t_data, "temporal_conv")
     tc_bn = tc.bn
     tc_gamma, tc_beta = tc_bn.gamma.value.data, tc_bn.beta.value.data
-    out_data, tc_xhat, _, _, tc_scale = _normalize(t_data, tc_bn.gamma.value, tc_bn.beta.value,
-                                                   tc_bn.running_mean, tc_bn.running_var,
-                                                   tc_bn.training, tc_bn.eps, tc_bn.momentum)
+    out_data, _, tc_mean, tc_sigma, tc_scale = _normalize(
+        t_data, tc_bn.gamma.value, tc_bn.beta.value, tc_bn.running_mean, tc_bn.running_var,
+        tc_bn.training, tc_bn.eps, tc_bn.momentum)
     del t_data
     out = Tensor(np.maximum(out_data, 0.0, out=out_data))
     tape = active_tape()
@@ -264,20 +265,19 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
         gamma_cell, beta_cell = bn.gamma.value.cell, bn.beta.value.cell
         tc_gamma_cell, tc_beta_cell = tc_bn.gamma.value.cell, tc_bn.beta.value.cell
         training, tc_training = bn.training, tc_bn.training
-        subsets = len(weights)
 
         def rule():
             if out_cell.grad is None:
                 return
-            dy = out_cell.grad * (_affine(tc_xhat, tc_gamma, tc_beta) > 0)
-            d_beta, d_gamma, dt = _gradients(dy, tc_xhat, tc_scale, tc_training)
-            del dy
-            _accumulate(tc_beta_cell, d_beta, fresh=True)
-            _accumulate(tc_gamma_cell, d_gamma, fresh=True)
-            maps = [channel_map(k) for k in range(subsets)]
-            xhat = _center(conv(maps.__getitem__), mean, sigma)
+            xhat = _center(conv(channel_map), mean, sigma)
             padded, s = blank()
             np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
+            tc_xhat = _center(tconv(padded), tc_mean, tc_sigma)
+            dy = out_cell.grad * (_affine(tc_xhat, tc_gamma, tc_beta) > 0)
+            d_beta, d_gamma, dt = _gradients(dy, tc_xhat, tc_scale, tc_training)
+            del tc_xhat, dy
+            _accumulate(tc_beta_cell, d_beta, fresh=True)
+            _accumulate(tc_gamma_cell, d_gamma, fresh=True)
             ds = tc_backward(dt, padded)
             del dt
             dy = ds * (s > 0)
@@ -286,7 +286,7 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
             del xhat, dy
             _accumulate(beta_cell, d_beta, fresh=True)
             _accumulate(gamma_cell, d_gamma, fresh=True)
-            graph_backward(dx, maps.__getitem__)
+            graph_backward(dx, channel_map)
 
         tape.record(rule)
     return out

@@ -30,9 +30,10 @@ and its adjacencies, never the score operands; `batchnorm_relu` keeps xhat
 and rebuilds its ReLU mask from it; `spatial_graph_bn_relu` keeps the layer
 input, the gates and the per-channel mean, sigma and scale, and rebuilds
 the conv output, xhat and the mask in its rule; `spatial_temporal_stage`
-keeps what those two keep plus the temporal kernel, never the spatial
-output s that `temporal_conv` would keep: its rule rebuilds s straight into
-the zero-padded buffer the kernel-gradient taps read.  Every other
+keeps the same plus the temporal kernel and statistics, never the spatial
+output s or the temporal xhat: its rule rebuilds s straight into the
+zero-padded buffer the kernel-gradient taps read and runs the temporal
+conv on it again.  Both rebuild one channel map at a time.  Every other
 intermediate is freed as soon as the forward pass drops it, while the tape
 is still live.
 

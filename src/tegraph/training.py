@@ -24,12 +24,12 @@ Memory: each training sample records its own Tape and replays it before
 the next sample starts.  During the forward pass the tape retains only
 what the backward rules read (see tensor.py), so a step's peak is one
 sample's retained arrays on top of the parameters, their gradients and
-the momentum buffers.  A tc layer keeps neither its spatial output nor
-that output's xhat: its one record rebuilds both in backward.  The next step reuses the memory the last one freed
-only if the allocator keeps it: `tegraph.cli.main` raises glibc's trim and
-mmap thresholds for that, which saves about 70k minor page faults per
-capture-scale step and costs no peak RSS, since resident memory stays at
-the high-water mark the step reaches anyway.
+the momentum buffers.  A tc layer keeps no conv output and no xhat: its
+one record rebuilds them in backward.  The next step reuses the memory the
+last one freed only if the allocator keeps it: `tegraph.cli.main` raises
+glibc's trim and mmap thresholds for that, which saves about 70k minor page
+faults per capture-scale step and costs no peak RSS, since resident memory
+stays at the high-water mark the step reaches anyway.
 """
 from __future__ import annotations
 
@@ -246,21 +246,34 @@ def score_streams(network: Network, dataset) -> list[np.ndarray]:
             for row in predict_logits(network, [item[0] for item in dataset])]
 
 
+def _check_samples(network: Network, train_set, eval_set) -> None:
+    """ConfigError, naming the sample, for a train label outside the model's
+    classes or any sample not shaped (3, T, J, M) as the model takes it."""
+    config = network.config
+    expected = (3, config.fixed_length, config.num_joints, config.max_bodies)
+    for split, samples in (("train", train_set), ("eval", eval_set or [])):
+        for n, (data, label, *sample_id) in enumerate(samples):
+            name = sample_id[0] if sample_id else f"{split}[{n}]"
+            if split == "train" and not 0 <= label < config.num_classes:
+                raise ConfigError(f"label {label} of sample {name} outside the model's "
+                                  f"{config.num_classes} classes")
+            if tuple(data.shape) != expected:
+                raise ConfigError(f"sample {name} has shape {tuple(data.shape)}, "
+                                  f"the model takes {expected}")
+
+
 def train(network: Network, train_set, eval_set, config: TrainConfig,
           metrics_path=None, checkpoint_path=None, best_path=None) -> list[Metrics]:
     """Run the full schedule; returns per-epoch metrics.
 
     `checkpoint_path` is rewritten after every completed epoch, so on a
     divergence abort it holds the last good state.  `best_path` tracks the
-    highest eval accuracy seen so far (first winner kept on ties).
+    highest eval accuracy seen so far (first winner kept on ties).  Samples
+    are checked against the model before any of these files is opened.
     """
     if not train_set:
         raise DataError("training set is empty")
-    for data, label, *_ in train_set:
-        if not 0 <= label < network.config.num_classes:
-            raise ConfigError(
-                f"label {label} outside the model's {network.config.num_classes} classes"
-            )
+    _check_samples(network, train_set, eval_set)
     rng = np.random.default_rng(config.seed)
     params = network.parameters()
     momentum_state: dict[str, np.ndarray] = {}

@@ -33,7 +33,7 @@ from tegraph.checkpoint import load_checkpoint
 from tegraph.dataset import read_manifest
 from tegraph.errors import ConfigError
 from tegraph.skeleton import Body, RawClip
-from tegraph.tensorio import write_tensor
+from tegraph.tensorio import save_tensor, write_tensor
 from tegraph.training import blas_threads
 
 SYNTH_SPEC = {
@@ -621,6 +621,26 @@ def test_train_unread_key_is_config_error_before_any_work(tmp_path, dataset_dir,
     assert code == 2
     assert f"config keys not read by this run: {unread}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("split", ["train", "eval"])
+def test_train_on_a_sample_the_model_does_not_take_is_config_error_before_any_output(
+        tmp_path, dataset_dir, capsys, split):
+    data = tmp_path / "data"
+    shutil.copytree(dataset_dir, data)
+    record = next(r for r in read_manifest(data / "manifest.jsonl") if r["split"] == split)
+    save_tensor(data / record["files"]["joint-spatial"], np.zeros((3, 6, 5, 1)))
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = b'{"epoch": 0}\n'
+    (out / "metrics.jsonl").write_bytes(earlier)
+    code = main(["train", "--data", str(data / "manifest.jsonl"), "--out", str(out),
+                 *TRAIN_OPTIONS])
+    assert code == 2
+    assert (out / "metrics.jsonl").read_bytes() == earlier
+    assert [path.name for path in out.iterdir()] == ["metrics.jsonl"]
+    assert (f"configuration error: sample {record['sample_id']} has shape (3, 6, 5, 1), "
+            "the model takes (3, 8, 5, 1)") in capsys.readouterr().err
 
 
 def test_ablate_unread_key_is_config_error(tmp_path, dataset_dir, capsys):

@@ -274,6 +274,12 @@ def test_train_validates_inputs():
     bad = [(np.zeros((3, 4, 3, 1)), 5)]
     with pytest.raises(ConfigError, match="label 5"):
         train(net, bad, [], TrainConfig(total_epochs=1))
+    with pytest.raises(ConfigError, match=r"sample train\[0\] has shape \(3, 5, 3, 1\)"):
+        train(net, [(np.zeros((3, 5, 3, 1)), 0)], [], TrainConfig(total_epochs=1))
+    misshapen = [(np.zeros((3, 4, 3, 2)), 0, "clip7")]
+    with pytest.raises(ConfigError, match=r"sample clip7 has shape \(3, 4, 3, 2\), "
+                                          r"the model takes \(3, 4, 3, 1\)"):
+        train(net, tiny_dataset(), misshapen, TrainConfig(total_epochs=1))
 
 
 def test_train_reports_divergence(tmp_path):
