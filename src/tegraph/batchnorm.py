@@ -4,18 +4,21 @@ Implemented as dedicated taped ops with a hand-written backward rather than
 a composition of primitives: the composed graph would be an order of
 magnitude more tape records per layer, and the closed-form gradient is the
 one place the chain rule is genuinely error-prone, so each op gets its own
-gradient-check entry.  The arithmetic lives in four helpers that every
+gradient-check entry.  The arithmetic lives in five helpers that every
 batchnorm op calls, so the ops cannot drift apart: `_normalize` (the
 forward pass), `_center` (xhat from the input and the per-channel mean and
-sigma), `_affine` (gamma * xhat + beta) and `_gradients` (the backward
-pass).  `batchnorm`'s rule keeps the normalized input `xhat` and the
-per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
-relu(batchnorm(x)) as one record: it keeps the same arrays and rebuilds the
-ReLU mask from xhat.  `blocks.spatial_graph_bn_relu` keeps neither, and
-rebuilds xhat from the conv output with `_center`;
-`blocks.spatial_temporal_stage` does the same for both of its batchnorms,
-running the temporal conv again, and has `_affine` write its spatial output
-straight into the temporal conv's padded input.
+sigma), `_affine` (gamma * xhat + beta), `_gradients` (the backward pass)
+and `_relu_backward`, the one bn -> ReLU backward: it rebuilds the ReLU
+mask gamma * xhat + beta > 0, runs `_gradients` and hands beta and gamma
+their gradients.  `batchnorm`'s rule keeps the normalized input `xhat` and
+the per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
+relu(batchnorm(x)) as one record: it keeps the same arrays and replays
+`_relu_backward`.  The spatial stage of blocks.py (`blocks._spatial_stage`)
+keeps neither, rebuilds xhat from the conv output with `_center` and
+replays `_relu_backward` too; `blocks.spatial_temporal_stage` does the
+same for its temporal batchnorm, running the temporal conv again, and has
+`_affine` write its spatial output straight into the temporal conv's
+padded input.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import init, precision
 from .errors import ShapeError
-from .tensor import Parameter, Tensor, _accumulate, _check_finite, active_tape
+from .tensor import GradCell, Parameter, Tensor, _accumulate, _check_finite, active_tape
 
 
 def _divide(total: np.ndarray, count: np.intp) -> np.ndarray:
@@ -129,6 +132,22 @@ def _gradients(dy: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
     return d_beta, d_gamma, dx
 
 
+def _relu_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                   scale: np.ndarray, training: bool, gamma_cell: GradCell,
+                   beta_cell: GradCell) -> np.ndarray:
+    """The backward of relu(gamma * xhat + beta) for the output gradient `g`.
+
+    The ReLU mask is rebuilt as gamma * xhat + beta > 0.  beta and gamma get
+    their gradients, in that order, and the input gradient is returned.
+    """
+    dy = g * (_affine(xhat, gamma, beta) > 0)
+    del g  # a caller's temporary is freed before the bn backward allocates
+    d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
+    _accumulate(beta_cell, d_beta, fresh=True)
+    _accumulate(gamma_cell, d_gamma, fresh=True)
+    return dx
+
+
 def batchnorm(
     x: Tensor,
     gamma: Tensor,
@@ -183,10 +202,8 @@ def batchnorm_relu(
         def rule():
             if out_cell.grad is None:
                 return
-            dy = out_cell.grad * (_affine(xhat, gamma_data, beta_data) > 0)
-            for cell, grad in zip((beta_cell, gamma_cell, x_cell),
-                                  _gradients(dy, xhat, scale, training)):
-                _accumulate(cell, grad, fresh=True)
+            _accumulate(x_cell, _relu_backward(out_cell.grad, xhat, gamma_data, beta_data, scale,
+                                               training, gamma_cell, beta_cell), fresh=True)
 
         tape.record(rule)
     return out

@@ -16,22 +16,21 @@ the one `spatial_graph_bn_relu` record, and the temporal block's bn -> relu
 is one `batchnorm_relu` record.  Where the temporal block reads the spatial
 output s directly (a tc-mode layer), `spatial_temporal_stage` records both
 blocks as one record that keeps neither s nor the temporal conv output.
-Oracle tests bypass bn and ReLU via apply_bn_relu to reach the raw linear
-maps.
+The spatial stage's arithmetic, forward and backward, lives only in
+`_spatial_stage`, which both records call, and every bn -> ReLU backward
+is `batchnorm._relu_backward`.  Oracle tests bypass bn and ReLU via
+apply_bn_relu to reach the raw linear maps.
 """
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from . import init
-from .batchnorm import BatchNorm, _affine, _center, _gradients, _normalize
+from .batchnorm import BatchNorm, _affine, _center, _normalize, _relu_backward
 from .errors import ConfigError, ShapeError
 from .tensor import (
     Parameter,
     Tensor,
-    _accumulate,
     _check_finite,
     _spatial_graph,
     _temporal,
@@ -85,40 +84,52 @@ class SGBlock:
         return [self.bn]
 
 
-def spatial_graph_bn_relu(x: Tensor, weights: Sequence[Tensor],
-                          partitions: Sequence[np.ndarray], masks: Sequence[Tensor],
-                          gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-                          running_var: np.ndarray, training: bool, eps: float = 1e-5,
-                          momentum: float = 0.1) -> Tensor:
-    """relu(batchnorm(spatial_graph_conv(x, ...), ...)) as one record, bit for bit.
+def _spatial_stage(sg: SGBlock, f: Tensor):
+    """relu(bn(graph conv)) of f through `sg`: the output array and its backward.
 
-    The rule keeps x, the gates and the per-channel mean, sigma and scale,
-    never the conv output, xhat, a channel map or a mask.  It rebuilds the
-    conv output one channel map at a time, and from that xhat and the ReLU
-    mask gamma * xhat + beta > 0; the graph-conv backward rebuilds each map
-    again as it reaches it, so no more than one is alive.
+    The forward runs the gates, the channel-map conv, the finite check and
+    `_normalize` with sg.bn.  `backward(g_of)` keeps f, the gates and the
+    per-channel mean, sigma and scale, never the conv output, xhat, a channel
+    map or a mask.  It rebuilds the conv output one channel map at a time and
+    centers it into xhat, takes the gradient at the stage output from
+    `g_of(xhat)`, and replays the bn-ReLU backward and the graph-conv
+    backward, which rebuilds each map again as it reaches it, so no more
+    than one is alive.
     """
-    channel_map, conv, backward = _spatial_graph(x, weights, partitions, masks)
+    _check_input(sg, f)
+    channel_map, conv, graph_backward = _spatial_graph(
+        f, [w.value for w in sg.weights], sg.partitions, [mask.value for mask in sg.masks])
     conv_out = conv(channel_map)
     _check_finite(conv_out, "spatial_graph_conv")
-    out_data, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, running_mean,
-                                                 running_var, training, eps, momentum)
-    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
+    bn = sg.bn
+    gamma, beta, training = bn.gamma.value, bn.beta.value, bn.training
+    out, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, bn.running_mean,
+                                            bn.running_var, training, bn.eps, bn.momentum)
+    gamma_cell, beta_cell, gamma, beta = gamma.cell, beta.cell, gamma.data, beta.data
+
+    def backward(g_of) -> None:
+        xhat = _center(conv(channel_map), mean, sigma)
+        dx = _relu_backward(g_of(xhat), xhat, gamma, beta, scale, training, gamma_cell,
+                            beta_cell)
+        del xhat  # freed before the graph-conv backward allocates
+        graph_backward(dx, channel_map)
+
+    return np.maximum(out, 0.0, out=out), backward
+
+
+def spatial_graph_bn_relu(sg: SGBlock, f: Tensor) -> Tensor:
+    """relu(batchnorm(spatial_graph_conv(f, ...))) through `sg` as one record, bit
+    for bit: `_spatial_stage`, whose backward the rule replays."""
+    out_data, backward = _spatial_stage(sg, f)
+    out = Tensor(out_data)
     tape = active_tape()
     if tape is not None:
-        gamma_cell, beta_cell, out_cell = gamma.cell, beta.cell, out.cell
-        gamma_data, beta_data = gamma.data, beta.data
+        out_cell = out.cell
 
         def rule():
             if out_cell.grad is None:
                 return
-            xhat = _center(conv(channel_map), mean, sigma)
-            dy = out_cell.grad * (_affine(xhat, gamma_data, beta_data) > 0)
-            d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
-            del xhat, dy  # freed before the graph-conv backward allocates
-            _accumulate(beta_cell, d_beta, fresh=True)
-            _accumulate(gamma_cell, d_gamma, fresh=True)
-            backward(dx, channel_map)
+            backward(lambda xhat: out_cell.grad)
 
         tape.record(rule)
     return out
@@ -137,15 +148,11 @@ def _check_input(block: SGBlock, f: Tensor) -> None:
 
 
 def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
+    if apply_bn_relu:
+        return spatial_graph_bn_relu(block, f)
     _check_input(block, f)
-    weights = [w.value for w in block.weights]
-    masks = [mask.value for mask in block.masks]
-    if not apply_bn_relu:
-        return spatial_graph_conv(f, weights, block.partitions, masks)
-    bn = block.bn
-    return spatial_graph_bn_relu(f, weights, block.partitions, masks, bn.gamma.value,
-                                 bn.beta.value, bn.running_mean, bn.running_var, bn.training,
-                                 bn.eps, bn.momentum)
+    return spatial_graph_conv(f, [w.value for w in block.weights], block.partitions,
+                              [mask.value for mask in block.masks])
 
 
 class TCBlock:
@@ -220,73 +227,49 @@ class ChannelProjection:
 def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     """tc_forward(tc, sg_forward(sg, f)) as one record, bit for bit.
 
-    The rule keeps f, the gates, the temporal kernel and both batchnorms'
-    per-channel mean, sigma and scale, never the spatial output s, the
-    temporal conv output or either xhat.  It rebuilds the conv output and
-    the spatial xhat as `spatial_graph_bn_relu` does, writes s = relu(gamma
-    * xhat + beta) straight into the zero-padded buffer the kernel-gradient
-    taps read, runs the temporal conv on that buffer once more and centers
-    its output into the temporal xhat.  Then it replays the temporal
-    bn-ReLU backward, the temporal conv backward and the spatial stage
-    backward.  The spatial ReLU mask is s > 0.
+    The rule keeps what `_spatial_stage` keeps plus the temporal kernel and
+    the temporal batchnorm's per-channel mean, sigma and scale, never the
+    spatial output s, the temporal conv output or its xhat.  It replays the
+    spatial stage's backward, whose output gradient it computes from the
+    rebuilt spatial xhat: s = relu(gamma * xhat + beta) goes straight into
+    the zero-padded buffer the kernel-gradient taps read, the temporal conv
+    runs on that buffer once more and its output is centered into the
+    temporal xhat, and the temporal bn-ReLU and conv backward follow.
     """
-    _check_input(sg, f)
     if tc.channels != sg.out_channels:
         raise ShapeError(f"{tc.identifier}: takes {tc.channels} channels, "
                          f"{sg.identifier} makes {sg.out_channels}")
-    weights = [w.value for w in sg.weights]
-    channel_map, conv, graph_backward = _spatial_graph(
-        f, weights, sg.partitions, [mask.value for mask in sg.masks])
-    conv_out = conv(channel_map)
-    _check_finite(conv_out, "spatial_graph_conv")
-    bn = sg.bn
-    gamma, beta = bn.gamma.value.data, bn.beta.value.data
-    s_data, _, mean, sigma, scale = _normalize(conv_out, bn.gamma.value, bn.beta.value,
-                                               bn.running_mean, bn.running_var, bn.training,
-                                               bn.eps, bn.momentum)
-    del conv_out
+    s_data, spatial_backward = _spatial_stage(sg, f)
     blank, tconv, tc_backward = _temporal(s_data.shape, tc.kernel.value, tc.stride, tc.pad)
     padded, interior = blank()
-    np.maximum(s_data, 0.0, out=interior)
+    interior[...] = s_data
     del s_data, interior
     t_data = tconv(padded)
     del padded
     _check_finite(t_data, "temporal_conv")
-    tc_bn = tc.bn
-    tc_gamma, tc_beta = tc_bn.gamma.value.data, tc_bn.beta.value.data
-    out_data, _, tc_mean, tc_sigma, tc_scale = _normalize(
-        t_data, tc_bn.gamma.value, tc_bn.beta.value, tc_bn.running_mean, tc_bn.running_var,
-        tc_bn.training, tc_bn.eps, tc_bn.momentum)
+    bn = tc.bn
+    tc_gamma, tc_beta, training = bn.gamma.value, bn.beta.value, bn.training
+    out_data, _, mean, sigma, scale = _normalize(t_data, tc_gamma, tc_beta, bn.running_mean,
+                                                 bn.running_var, training, bn.eps, bn.momentum)
     del t_data
     out = Tensor(np.maximum(out_data, 0.0, out=out_data))
     tape = active_tape()
     if tape is not None:
-        out_cell = out.cell
-        gamma_cell, beta_cell = bn.gamma.value.cell, bn.beta.value.cell
-        tc_gamma_cell, tc_beta_cell = tc_bn.gamma.value.cell, tc_bn.beta.value.cell
-        training, tc_training = bn.training, tc_bn.training
+        out_cell, tc_gamma_cell, tc_beta_cell = out.cell, tc_gamma.cell, tc_beta.cell
+        tc_gamma, tc_beta = tc_gamma.data, tc_beta.data
+        gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
+
+        def ds_of(xhat: np.ndarray) -> np.ndarray:
+            padded, s = blank()
+            np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
+            dt = _relu_backward(out_cell.grad, _center(tconv(padded), mean, sigma), tc_gamma,
+                                tc_beta, scale, training, tc_gamma_cell, tc_beta_cell)
+            return tc_backward(dt, padded)
 
         def rule():
             if out_cell.grad is None:
                 return
-            xhat = _center(conv(channel_map), mean, sigma)
-            padded, s = blank()
-            np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
-            tc_xhat = _center(tconv(padded), tc_mean, tc_sigma)
-            dy = out_cell.grad * (_affine(tc_xhat, tc_gamma, tc_beta) > 0)
-            d_beta, d_gamma, dt = _gradients(dy, tc_xhat, tc_scale, tc_training)
-            del tc_xhat, dy
-            _accumulate(tc_beta_cell, d_beta, fresh=True)
-            _accumulate(tc_gamma_cell, d_gamma, fresh=True)
-            ds = tc_backward(dt, padded)
-            del dt
-            dy = ds * (s > 0)
-            del ds, padded, s  # freed before the graph-conv backward allocates
-            d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
-            del xhat, dy
-            _accumulate(beta_cell, d_beta, fresh=True)
-            _accumulate(gamma_cell, d_gamma, fresh=True)
-            graph_backward(dx, channel_map)
+            spatial_backward(ds_of)
 
         tape.record(rule)
     return out

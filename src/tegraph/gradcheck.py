@@ -18,6 +18,7 @@ example, has an identically-zero gradient and would verify nothing.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .blocks import (
     spatial_graph_bn_relu,
     spatial_temporal_stage,
     tc_forward,
+    tc_output_length,
 )
 from .errors import NumericError
 from .tensor import (
@@ -272,13 +274,10 @@ def _away_from_the_kink(rng, draw, pre_relu, margin=0.01):
             return inputs
 
 
-def _bn_inputs(rng, channels):
-    return (Tensor(rng.uniform(0.5, 1.5, size=(channels,))), Tensor(rng.normal(size=(channels,))))
-
-
 def _check_batchnorm_relu(rng):
     def draw(r):
-        return (Tensor(r.normal(size=(3, 4, 5))), *_bn_inputs(r, 3))
+        return (Tensor(r.normal(size=(3, 4, 5))), Tensor(r.uniform(0.5, 1.5, size=(3,))),
+                Tensor(r.normal(size=(3,))))
 
     x, gamma, beta = _away_from_the_kink(
         rng, draw, lambda x, g, b: batchnorm(x, g, b, np.zeros(3), np.ones(3), True))
@@ -291,35 +290,11 @@ def _check_batchnorm_relu(rng):
     return f, [("x", x), ("gamma", gamma), ("beta", beta)]
 
 
-def _check_spatial_graph_bn_relu(rng):
-    partitions = rng.normal(size=(2, 4, 4))
-
-    def draw(r):
-        return (Tensor(r.normal(size=(3, 5, 4))), [Tensor(r.normal(size=(2, 3))) for _ in range(2)],
-                [Tensor(r.normal(size=(4, 4))) for _ in range(2)], *_bn_inputs(r, 2))
-
-    def pre_relu(x, weights, masks, gamma, beta):
-        return batchnorm(spatial_graph_conv(x, weights, partitions, masks), gamma, beta,
-                         np.zeros(2), np.ones(2), True)
-
-    x, weights, masks, gamma, beta = _away_from_the_kink(rng, draw, pre_relu)
-    w = Tensor(rng.normal(size=(2, 5, 4)))
-    wrt = [("x", x), *((f"w{k}", t) for k, t in enumerate(weights)),
-           *((f"m{k}", t) for k, t in enumerate(masks)), ("gamma", gamma), ("beta", beta)]
-
-    def f():
-        out = spatial_graph_bn_relu(x, weights, partitions, masks, gamma, beta, np.zeros(2),
-                                    np.ones(2), training=True)
-        return sum_all(mul(out, w))
-
-    return f, wrt
-
-
-def _check_spatial_temporal_stage(rng):
-    # Stride-1 and stride-2 stages after one spatial block, so that each
-    # spatial parameter takes two contributions.
+def _check_spatial_stage(rng, strides):
+    """One spatial block, alone or feeding one temporal block per stride; with
+    strides 1 and 2 each spatial parameter takes two contributions."""
     sg = SGBlock(3, 2, rng.normal(size=(2, 4, 4)), "sg")
-    tcs = [TCBlock(2, 3, stride, f"tc{stride}") for stride in (1, 2)]
+    tcs = [TCBlock(2, 3, stride, f"tc{stride}") for stride in strides]
     params = sg.parameters() + [p for tc in tcs for p in tc.parameters()]
 
     def draw(r):
@@ -338,11 +313,12 @@ def _check_spatial_temporal_stage(rng):
         return Tensor(np.concatenate([t.data.ravel() for t in (s, *ts)]))
 
     (x,) = _away_from_the_kink(rng, draw, pre_relu)
-    ws = [Tensor(rng.normal(size=(2, frames, 4))) for frames in (5, 3)]
+    frames = [tc_output_length(5, stride) for stride in strides] or [5]
+    ws = [Tensor(rng.normal(size=(2, t, 4))) for t in frames]
 
     def f():
-        return add(*(sum_all(mul(spatial_temporal_stage(sg, tc, x), w))
-                     for tc, w in zip(tcs, ws)))
+        outs = [spatial_temporal_stage(sg, tc, x) for tc in tcs] or [spatial_graph_bn_relu(sg, x)]
+        return functools.reduce(add, (sum_all(mul(out, w)) for out, w in zip(outs, ws)))
 
     return f, [("x", x), *params]
 
@@ -410,8 +386,8 @@ OP_CHECKS = {
     "batchnorm_relu": _check_batchnorm_relu,
     "temporal_conv": _check_temporal_conv,
     "spatial_graph_conv": _check_spatial_graph_conv,
-    "spatial_graph_bn_relu": _check_spatial_graph_bn_relu,
-    "spatial_temporal_stage": _check_spatial_temporal_stage,
+    "spatial_graph_bn_relu": lambda rng: _check_spatial_stage(rng, ()),
+    "spatial_temporal_stage": lambda rng: _check_spatial_stage(rng, (1, 2)),
     "calculated_heads": _check_calculated_heads,
     "temporal_graph_mix": _check_temporal_graph_mix,
 }

@@ -15,7 +15,10 @@ one record: `temporal_conv` (the windowed temporal convolution),
 in batchnorm.py, and `spatial_graph_bn_relu` (the whole spatial stage) and
 `spatial_temporal_stage` (a tc layer's spatial and temporal stages) in
 blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
-for bit and recomputes what its rule needs from its inputs.
+for bit and recomputes what its rule needs from its inputs.  The spatial
+stage's arithmetic, forward and backward, lives only in
+`blocks._spatial_stage`, which both blocks.py records call, and the
+bn -> ReLU backward only in `batchnorm._relu_backward`.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
 A backward rule closes over the cells it reads and writes (its output's and
@@ -27,15 +30,15 @@ normalized input, and the fused ops their inputs (the gates P_k * M_k for
 `spatial_graph_conv`'s masks).  The fused ops that end in a nonlinearity
 keep less than the chain did: `calculated_heads` keeps f, the projections
 and its adjacencies, never the score operands; `batchnorm_relu` keeps xhat
-and rebuilds its ReLU mask from it; `spatial_graph_bn_relu` keeps the layer
-input, the gates and the per-channel mean, sigma and scale, and rebuilds
-the conv output, xhat and the mask in its rule; `spatial_temporal_stage`
-keeps the same plus the temporal kernel and statistics, never the spatial
-output s or the temporal xhat: its rule rebuilds s straight into the
-zero-padded buffer the kernel-gradient taps read and runs the temporal
-conv on it again.  Both rebuild one channel map at a time.  Every other
-intermediate is freed as soon as the forward pass drops it, while the tape
-is still live.
+and rebuilds its ReLU mask from it; the spatial stage
+(`blocks._spatial_stage`) keeps the layer input, the gates and the
+per-channel mean, sigma and scale, and rebuilds the conv output, xhat and
+the mask one channel map at a time; `spatial_temporal_stage` keeps the
+same plus the temporal kernel and statistics, never the spatial output s
+or the temporal xhat: its rule rebuilds s straight into the zero-padded
+buffer the kernel-gradient taps read and runs the temporal conv on it
+again.  Every other intermediate is freed as soon as the forward pass
+drops it, while the tape is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just

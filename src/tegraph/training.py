@@ -192,14 +192,11 @@ def eval_workers(network) -> int:
     """How many threads `predict_logits` spreads this network's samples over.
 
     OpenBLAS's own thread count, so OPENBLAS_NUM_THREADS=1 means serial.
-    One where OpenBLAS is not found, for a network whose widest feature map
-    is below POOL_MIN_ELEMENTS, and for one that does not expose its sizes.
+    One where OpenBLAS is not found and for a network whose widest feature
+    map is below POOL_MIN_ELEMENTS.
     """
-    try:
-        widest = network.config.max_bodies * max(
-            math.prod(shape) for _, shape in network.shape_table())
-    except AttributeError:
-        return 1
+    widest = network.config.max_bodies * max(
+        math.prod(shape) for _, shape in network.shape_table())
     if widest < POOL_MIN_ELEMENTS:
         return 1
     return blas_threads() or 1
@@ -232,6 +229,7 @@ def evaluate(network: Network, dataset) -> EvalResult:
     """Top-1 accuracy; argmax ties resolve to the lowest class index."""
     if not dataset:
         raise DataError("evaluation set is empty")
+    _check_labels(network, dataset, "eval")
     logits = predict_logits(network, [item[0] for item in dataset])
     predictions = [int(np.argmax(row)) for row in logits]
     correct = sum(1 for p, item in zip(predictions, dataset) if p == item[1])
@@ -242,22 +240,31 @@ def score_streams(network: Network, dataset) -> list[np.ndarray]:
     """Per-sample softmax class distributions, for score fusion."""
     if not dataset:
         raise DataError("dataset is empty")
+    _check_labels(network, dataset, "eval")
     return [softmax_distribution(row)
             for row in predict_logits(network, [item[0] for item in dataset])]
 
 
+def _check_labels(network: Network, samples, split: str) -> None:
+    """ConfigError, naming the sample, for a label outside the model's classes."""
+    classes = network.config.num_classes
+    for n, (_, label, *sample_id) in enumerate(samples):
+        if not 0 <= label < classes:
+            name = sample_id[0] if sample_id else f"{split}[{n}]"
+            raise ConfigError(f"label {label} of sample {name} outside the model's "
+                              f"{classes} classes")
+
+
 def _check_samples(network: Network, train_set, eval_set) -> None:
-    """ConfigError, naming the sample, for a train label outside the model's
-    classes or any sample not shaped (3, T, J, M) as the model takes it."""
+    """ConfigError, naming the sample, for a train or eval label outside the
+    model's classes or any sample not shaped (3, T, J, M) as the model takes it."""
     config = network.config
     expected = (3, config.fixed_length, config.num_joints, config.max_bodies)
     for split, samples in (("train", train_set), ("eval", eval_set or [])):
-        for n, (data, label, *sample_id) in enumerate(samples):
-            name = sample_id[0] if sample_id else f"{split}[{n}]"
-            if split == "train" and not 0 <= label < config.num_classes:
-                raise ConfigError(f"label {label} of sample {name} outside the model's "
-                                  f"{config.num_classes} classes")
+        _check_labels(network, samples, split)
+        for n, (data, _, *sample_id) in enumerate(samples):
             if tuple(data.shape) != expected:
+                name = sample_id[0] if sample_id else f"{split}[{n}]"
                 raise ConfigError(f"sample {name} has shape {tuple(data.shape)}, "
                                   f"the model takes {expected}")
 

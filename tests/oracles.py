@@ -202,8 +202,10 @@ def chain_batchnorm_relu(x, gamma, beta, running_mean, running_var, training):
     return relu(batchnorm(x, gamma, beta, running_mean, running_var, training))
 
 
-def chain_spatial_graph_bn_relu(x, weights, partitions, masks, gamma, beta, running_mean,
-                                running_var, training):
+def chain_spatial_graph_bn_relu(sg, x):
     """The graph conv, batchnorm and relu records sg_forward used to make."""
-    return chain_batchnorm_relu(spatial_graph_conv(x, weights, partitions, masks), gamma,
-                                beta, running_mean, running_var, training)
+    bn = sg.bn
+    out = spatial_graph_conv(x, [w.value for w in sg.weights], sg.partitions,
+                             [mask.value for mask in sg.masks])
+    return chain_batchnorm_relu(out, bn.gamma.value, bn.beta.value, bn.running_mean,
+                                bn.running_var, bn.training)

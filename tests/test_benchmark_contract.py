@@ -3,17 +3,22 @@
 `perfbench/hooks.py` instruments a training run from outside, by replacing
 package attributes.  A refactor that renames or re-signs one of them would
 otherwise fail only in a traced benchmark run; here it fails the suite.
-This test only reads `perfbench/`.
+Likewise every per-op record count `BENCHMARK.json` lists must name an op
+the package still registers.  These tests only read `perfbench/` and
+`BENCHMARK.json`.
 """
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import pytest
 
 from tegraph.model import Network
+from tegraph.tensor import OP_NAMES
 
-HOOKS = Path(__file__).resolve().parent.parent / "perfbench" / "hooks.py"
+ROOT = Path(__file__).resolve().parent.parent
+HOOKS = ROOT / "perfbench" / "hooks.py"
 
 
 def load_hooks():
@@ -46,3 +51,11 @@ def test_the_traced_recorder_installs_and_puts_everything_back():
         assert len(patched) > len(hooks.LAYER_SPANS)
     for owner, name, original in patched:
         assert owner.__dict__[name] is original, name
+
+
+def test_every_listed_op_record_count_names_a_registered_op():
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    prefix = "tensor.records."
+    listed = [m["name"][len(prefix):] for m in metrics if m["name"].startswith(prefix)]
+    assert "matmul" in listed
+    assert sorted(set(listed) - {"other"} - set(OP_NAMES)) == []

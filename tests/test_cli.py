@@ -643,6 +643,33 @@ def test_train_on_a_sample_the_model_does_not_take_is_config_error_before_any_ou
             "the model takes (3, 8, 5, 1)") in capsys.readouterr().err
 
 
+def test_label_outside_the_model_is_config_error_in_train_and_eval(tmp_path, trained_dir,
+                                                                  capsys):
+    spec = json.loads(json.dumps(SYNTH_SPEC))
+    spec["sets"][1]["classes"] = 3  # the eval split has a class the 2-class model lacks
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    data = tmp_path / "data"
+    assert main(["preprocess", str(tmp_path / "spec.json"), "--out", str(data)]) == 0
+    record = next(r for r in read_manifest(data / "manifest.jsonl") if r["label"] == 2)
+    message = (f"configuration error: label 2 of sample {record['sample_id']} outside the "
+               "model's 2 classes")
+    out = tmp_path / "run"
+    out.mkdir()
+    earlier = b'{"epoch": 0}\n'
+    (out / "metrics.jsonl").write_bytes(earlier)
+    capsys.readouterr()
+    code = main(["train", "--data", str(data / "manifest.jsonl"), "--out", str(out),
+                 *TRAIN_OPTIONS])
+    assert code == 2
+    assert (out / "metrics.jsonl").read_bytes() == earlier
+    assert [path.name for path in out.iterdir()] == ["metrics.jsonl"]
+    assert message in capsys.readouterr().err
+    code = main(["eval", "--checkpoint", str(trained_dir / "checkpoint.tegc"),
+                 "--data", str(data / "manifest.jsonl")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_ablate_unread_key_is_config_error(tmp_path, dataset_dir, capsys):
     out = tmp_path / "table" / "heads.csv"
     code = main(["ablate", "--suite", "heads", "--data", str(dataset_dir / "manifest.jsonl"),

@@ -160,11 +160,6 @@ def test_criterion_5_sized_model_runs_on_one_worker(two_blas_threads):
     assert threads_used(net, samples_for(config, 4)) == {threading.get_ident()}
 
 
-def test_networks_without_layer_sizes_stay_serial():
-    net = SimpleNamespace(config=SimpleNamespace(num_classes=2))
-    assert eval_workers(net) == 1
-
-
 class FailingNet:
     """Passes the size gate; sample keys in `failing` raise, the earliest one last."""
 

@@ -85,7 +85,8 @@ def assert_rectified(out):
 def run_bn_stage(op, x_data, gamma_data, beta_data, seed, x_grad, training, *linear):
     """Output, every gradient and the running buffers after one taped call.
 
-    `linear` is (weights, partitions, masks) for the spatial stage."""
+    `linear` is (weights, partitions, masks) for the spatial stage, which
+    takes them, gamma, beta and the buffers through an SGBlock."""
     x = Tensor(x_data)
     x.grad = x_grad.copy()
     gamma, beta = Tensor(gamma_data), Tensor(beta_data)
@@ -93,13 +94,18 @@ def run_bn_stage(op, x_data, gamma_data, beta_data, seed, x_grad, training, *lin
     running_mean = np.linspace(-0.5, 0.5, channels).astype(gamma_data.dtype)
     running_var = np.linspace(0.5, 2.0, channels).astype(gamma_data.dtype)
     tensors = [x, gamma, beta]
+    args = (x, gamma, beta, running_mean, running_var, training)
     if linear:
         weights, partitions, masks = linear
-        weights, masks = [Tensor(w) for w in weights], [Tensor(m) for m in masks]
-        tensors += weights + masks
-        linear = (weights, partitions, masks)
+        sg = SGBlock(x_data.shape[0], channels, partitions, "t.sg")
+        tensors += [Tensor(a) for a in weights + masks]
+        for param, t in zip(sg.parameters(), tensors[3:] + [gamma, beta]):
+            param.value = t
+        sg.bn.running_mean, sg.bn.running_var = running_mean, running_var
+        sg.bn.training = training
+        args = (sg, x)
     with Tape() as tape:
-        out = op(x, *linear, gamma, beta, running_mean, running_var, training)
+        out = op(*args)
         tape.backward(out, seed=seed)
     return [out.data, running_mean, running_var] + [t.grad for t in tensors]
 

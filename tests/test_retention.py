@@ -49,13 +49,14 @@ PARTITIONS = np.random.default_rng(2).uniform(size=(2, 5, 5))
 STAGE_PARAMETERS = ("w0", "w1", "m0", "m1", "gamma", "beta", "kernel", "tc_gamma", "tc_beta")
 
 
-def _stage(i):
-    """spatial_temporal_stage of i["x"] through 3 -> 2 channel blocks, stride 2,
-    whose parameters are the tensors in `i`."""
+def _blocks(i):
+    """A 3 -> 2 channel spatial block and a stride-2 temporal block whose
+    parameters are the tensors in `i` (the temporal block's where given)."""
     sg, tc = SGBlock(3, 2, PARTITIONS, "sg"), TCBlock(2, 3, 2, "tc")
     for param, label in zip(sg.parameters() + tc.parameters(), STAGE_PARAMETERS):
-        param.value = i[label]
-    return spatial_temporal_stage(sg, tc, i["x"])
+        if label in i:
+            param.value = i[label]
+    return sg, tc
 
 
 # op -> (inputs from a generator, the call, names of the tensors whose data
@@ -101,15 +102,14 @@ CASES = {
     "spatial_graph_bn_relu": (
         lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
                    "m0": _t(r, 5, 5), "m1": _t(r, 5, 5), "gamma": _t(r, 2), "beta": _t(r, 2)},
-        lambda i: spatial_graph_bn_relu(i["x"], [i["w0"], i["w1"]], PARTITIONS,
-                                        [i["m0"], i["m1"]], i["gamma"], i["beta"],
-                                        np.zeros(2), np.ones(2), training=True),
+        lambda i: spatial_graph_bn_relu(_blocks(i)[0], i["x"]),
         {"x", "w0", "w1", "gamma", "beta"}),
     "spatial_temporal_stage": (
         lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
                    "m0": _t(r, 5, 5), "m1": _t(r, 5, 5), "gamma": _t(r, 2), "beta": _t(r, 2),
                    "kernel": _t(r, 2, 2, 3), "tc_gamma": _t(r, 2), "tc_beta": _t(r, 2)},
-        _stage, {"x", "w0", "w1", "gamma", "beta", "kernel", "tc_gamma", "tc_beta"}),
+        lambda i: spatial_temporal_stage(*_blocks(i), i["x"]),
+        {"x", "w0", "w1", "gamma", "beta", "kernel", "tc_gamma", "tc_beta"}),
     "calculated_heads": (
         lambda r: {"f": _t(r, 4, 5, 3), "a0": _t(r, 2, 4), "a1": _t(r, 2, 4),
                    "b0": _t(r, 2, 4), "b1": _t(r, 2, 4)},

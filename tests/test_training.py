@@ -166,8 +166,11 @@ class FakeNet:
 
     def __init__(self, table, classes=3):
         self.table = table
-        self.config = SimpleNamespace(num_classes=classes)
+        self.config = SimpleNamespace(num_classes=classes, max_bodies=1)
         self.training = True
+
+    def shape_table(self):
+        return [("layer1", (4, 8, 3))]  # small enough to evaluate on the calling thread
 
     def set_training(self, training):
         self.training = training
@@ -204,6 +207,14 @@ def test_evaluate_rejects_non_finite_logits():
     net = FakeNet({0: [np.nan, 0.0, 0.0]})
     with pytest.raises(NumericError, match="logits"):
         evaluate(net, [(0, 0)])
+
+
+def test_evaluation_rejects_labels_outside_the_model():
+    net = FakeNet({0: [1.0, 0.0, 0.0], 1: [0.0, 1.0, 0.0]})
+    for run in (evaluate, score_streams):
+        with pytest.raises(ConfigError, match=r"label 3 of sample eval\[1\] outside the "
+                                              "model's 3 classes"):
+            run(net, [(0, 0), (1, 3)])
 
 
 def test_score_streams_are_softmax_rows():
