@@ -1,24 +1,22 @@
 """Batch normalization over the leading channel axis.
 
-Implemented as dedicated taped ops with a hand-written backward rather than
-a composition of primitives: the composed graph would be an order of
+Implemented as a dedicated taped op with a hand-written backward rather
+than a composition of primitives: the composed graph would be an order of
 magnitude more tape records per layer, and the closed-form gradient is the
-one place the chain rule is genuinely error-prone, so each op gets its own
-gradient-check entry.  The arithmetic lives in five helpers that every
-batchnorm op calls, so the ops cannot drift apart: `_normalize` (the
-forward pass), `_center` (xhat from the input and the per-channel mean and
-sigma), `_affine` (gamma * xhat + beta), `_gradients` (the backward pass)
-and `_relu_backward`, the one bn -> ReLU backward: it rebuilds the ReLU
-mask gamma * xhat + beta > 0, runs `_gradients` and hands beta and gamma
-their gradients.  `batchnorm`'s rule keeps the normalized input `xhat` and
-the per-channel scale gamma / sigma, never x itself.  `batchnorm_relu` is
-relu(batchnorm(x)) as one record: it keeps the same arrays and replays
-`_relu_backward`.  The spatial stage of blocks.py (`blocks._spatial_stage`)
+one place the chain rule is genuinely error-prone, so the op gets its own
+gradient-check entry.  The arithmetic lives in five helpers that
+`batchnorm` and the fused stages of blocks.py call, so they cannot drift
+apart: `_normalize` (the forward pass), `_center` (xhat from the input and
+the per-channel mean and sigma), `_affine` (gamma * xhat + beta),
+`_gradients` (the backward pass) and `_relu_backward`, the one bn -> ReLU
+backward: it rebuilds the ReLU mask gamma * xhat + beta > 0, runs
+`_gradients` and hands beta and gamma their gradients.  `batchnorm`'s rule
+keeps the normalized input `xhat` and the per-channel scale gamma / sigma,
+never x itself.  The spatial stage of blocks.py (`blocks._spatial_stage`)
 keeps neither, rebuilds xhat from the conv output with `_center` and
-replays `_relu_backward` too; `blocks.spatial_temporal_stage` does the
-same for its temporal batchnorm, running the temporal conv again, and has
-`_affine` write its spatial output straight into the temporal conv's
-padded input.
+replays `_relu_backward`; `blocks.spatial_temporal_stage` does the same for
+its temporal batchnorm, running the temporal conv again, and has `_affine`
+write its spatial output straight into the temporal conv's padded input.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into
@@ -176,49 +174,11 @@ def batchnorm(
     return out
 
 
-def batchnorm_relu(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-) -> Tensor:
-    """relu(batchnorm(x, ...)) as one record, bit for bit.
-
-    The rule keeps xhat and rebuilds the ReLU mask gamma * xhat + beta > 0
-    from it instead of keeping a mask.
-    """
-    out_data, xhat, _, _, scale = _normalize(x.data, gamma, beta, running_mean, running_var,
-                                             training, eps, momentum)
-    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
-    tape = active_tape()
-    if tape is not None:
-        x_cell, gamma_cell, beta_cell, out_cell = x.cell, gamma.cell, beta.cell, out.cell
-        gamma_data, beta_data = gamma.data, beta.data
-
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(x_cell, _relu_backward(out_cell.grad, xhat, gamma_data, beta_data, scale,
-                                               training, gamma_cell, beta_cell), fresh=True)
-
-        tape.record(rule)
-    return out
-
-
 class BatchNorm:
-    """Stateful wrapper owning scale/shift parameters and running buffers.
+    """Stateful wrapper owning scale/shift parameters and running buffers."""
 
-    With `relu` the wrapper applies the rectifier too, in the same record.
-    """
-
-    def __init__(self, channels: int, identifier: str, eps: float = 1e-5, momentum: float = 0.1,
-                 relu: bool = False):
+    def __init__(self, channels: int, identifier: str, eps: float = 1e-5, momentum: float = 0.1):
         self.channels = channels
-        self.relu = relu
         self.identifier = identifier
         self.eps = eps
         self.momentum = momentum
@@ -229,8 +189,7 @@ class BatchNorm:
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        """batchnorm(x), or with `relu` the one-record relu(batchnorm(x))."""
-        return (batchnorm_relu if self.relu else batchnorm)(
+        return batchnorm(
             x,
             self.gamma.value,
             self.beta.value,

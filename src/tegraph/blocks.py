@@ -12,13 +12,14 @@ whose rule hands mask k its gradient dA_k * P_k.
 The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
 their own batchnorm and ReLU: the whole spatial stage conv -> bn -> relu is
-the one `spatial_graph_bn_relu` record, and the temporal block's bn -> relu
-is one `batchnorm_relu` record.  Where the temporal block reads the spatial
-output s directly (a tc-mode layer), `spatial_temporal_stage` records both
-blocks as one record that keeps neither s nor the temporal conv output.
-The spatial stage's arithmetic, forward and backward, lives only in
-`_spatial_stage`, which both records call, and every bn -> ReLU backward
-is `batchnorm._relu_backward`.  Oracle tests bypass bn and ReLU via
+the one `spatial_graph_bn_relu` record, while `tc_forward` records the
+temporal conv, the batchnorm and the ReLU one op each.  Where the temporal
+block reads the spatial output s directly (a tc-mode layer),
+`spatial_temporal_stage` records both blocks as one record that keeps
+neither s nor the temporal conv output.  The spatial stage's arithmetic,
+forward and backward, lives only in `_spatial_stage`, which both fused
+records call, and every fused bn -> ReLU backward is
+`batchnorm._relu_backward`.  Oracle tests bypass bn and ReLU via
 apply_bn_relu to reach the raw linear maps.
 """
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .tensor import (
     _temporal,
     active_tape,
     matmul,
+    relu,
     reshape,
     slice_axis,
     spatial_graph_conv,
@@ -174,7 +176,7 @@ class TCBlock:
                                 (channels, channels, kernel_t), channels * kernel_t),
             f"{identifier}.kernel",
         )
-        self.bn = BatchNorm(channels, f"{identifier}.bn", relu=True)
+        self.bn = BatchNorm(channels, f"{identifier}.bn")
 
     def parameters(self) -> list[Parameter]:
         return [self.kernel] + self.bn.parameters()
@@ -193,9 +195,7 @@ def tc_forward(block: TCBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
             f"{block.identifier}: expected ({block.channels}, T, J), got {f.shape}"
         )
     out = temporal_conv(f, block.kernel.value, block.stride, block.pad)
-    if apply_bn_relu:
-        out = block.bn(out)
-    return out
+    return relu(block.bn(out)) if apply_bn_relu else out
 
 
 class ChannelProjection:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import precision
-from .batchnorm import batchnorm, batchnorm_relu
+from .batchnorm import batchnorm
 from .blocks import (
     SGBlock,
     TCBlock,
@@ -274,22 +274,6 @@ def _away_from_the_kink(rng, draw, pre_relu, margin=0.01):
             return inputs
 
 
-def _check_batchnorm_relu(rng):
-    def draw(r):
-        return (Tensor(r.normal(size=(3, 4, 5))), Tensor(r.uniform(0.5, 1.5, size=(3,))),
-                Tensor(r.normal(size=(3,))))
-
-    x, gamma, beta = _away_from_the_kink(
-        rng, draw, lambda x, g, b: batchnorm(x, g, b, np.zeros(3), np.ones(3), True))
-    w = Tensor(rng.normal(size=(3, 4, 5)))
-
-    def f():
-        out = batchnorm_relu(x, gamma, beta, np.zeros(3), np.ones(3), training=True)
-        return sum_all(mul(out, w))
-
-    return f, [("x", x), ("gamma", gamma), ("beta", beta)]
-
-
 def _check_spatial_stage(rng, strides):
     """One spatial block, alone or feeding one temporal block per stride; with
     strides 1 and 2 each spatial parameter takes two contributions."""
@@ -383,7 +367,6 @@ OP_CHECKS = {
     "sum_all": _check_sum_all,
     "sum_axis": _check_sum_axis,
     "batchnorm": _check_batchnorm,
-    "batchnorm_relu": _check_batchnorm_relu,
     "temporal_conv": _check_temporal_conv,
     "spatial_graph_conv": _check_spatial_graph_conv,
     "spatial_graph_bn_relu": lambda rng: _check_spatial_stage(rng, ()),

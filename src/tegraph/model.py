@@ -114,6 +114,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.relevance not in HEAD_KINDS:
             raise ConfigError(f"unknown relevance kind {self.relevance!r}")
+        if self.graph == "chain" and not 0 <= self.graph_center < self.num_joints:
+            raise ConfigError(f"graph_center {self.graph_center} outside the chain graph's "
+                              f"joints 0..{self.num_joints - 1}")
         if self.layers[0].in_channels != 3:
             raise ConfigError("first layer must consume the 3 coordinate channels")
         for prev, cur in zip(self.layers, self.layers[1:]):

@@ -11,13 +11,13 @@ ops so every backward rule stays auditable.  Fused ops give each hot stage
 one record: `temporal_conv` (the windowed temporal convolution),
 `spatial_graph_conv` (the partitioned joint mixing), `calculated_heads`
 (every feature-calculated relevance head of a layer, softmax included) and
-`temporal_graph_mix` (the multi-head frame mixing) here, `batchnorm_relu`
-in batchnorm.py, and `spatial_graph_bn_relu` (the whole spatial stage) and
+`temporal_graph_mix` (the multi-head frame mixing) here, and
+`spatial_graph_bn_relu` (the whole spatial stage) and
 `spatial_temporal_stage` (a tc layer's spatial and temporal stages) in
 blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
 for bit and recomputes what its rule needs from its inputs.  The spatial
 stage's arithmetic, forward and backward, lives only in
-`blocks._spatial_stage`, which both blocks.py records call, and the
+`blocks._spatial_stage`, which both blocks.py records call, and their
 bn -> ReLU backward only in `batchnorm._relu_backward`.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
@@ -29,8 +29,7 @@ and `mul` their operands, the softmaxes their output, `batchnorm` its
 normalized input, and the fused ops their inputs (the gates P_k * M_k for
 `spatial_graph_conv`'s masks).  The fused ops that end in a nonlinearity
 keep less than the chain did: `calculated_heads` keeps f, the projections
-and its adjacencies, never the score operands; `batchnorm_relu` keeps xhat
-and rebuilds its ReLU mask from it; the spatial stage
+and its adjacencies, never the score operands; the spatial stage
 (`blocks._spatial_stage`) keeps the layer input, the gates and the
 per-channel mean, sigma and scale, and rebuilds the conv output, xhat and
 the mask one channel map at a time; `spatial_temporal_stage` keeps the
@@ -257,7 +256,6 @@ OP_NAMES = [
     "sum_all",
     "sum_axis",
     "batchnorm",
-    "batchnorm_relu",
     "temporal_conv",
     "spatial_graph_conv",
     "spatial_graph_bn_relu",

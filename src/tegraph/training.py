@@ -78,7 +78,7 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if list(self.decay_epochs) != sorted(set(self.decay_epochs)):
             raise ConfigError(f"decay epochs must be strictly increasing: {self.decay_epochs}")
-        if self.learning_rate <= 0 and self.learning_rate != 0.0:
+        if self.learning_rate < 0:
             raise ConfigError("learning rate must be nonnegative")
         if self.decay_factor <= 0:
             raise ConfigError("decay factor must be positive")
@@ -88,6 +88,8 @@ class TrainConfig:
             raise ConfigError(f"momentum {self.momentum} outside [0, 1)")
         if self.weight_decay < 0:
             raise ConfigError("weight decay must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

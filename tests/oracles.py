@@ -198,7 +198,8 @@ def chain_calculated_heads(f, w_a, w_b):
 
 
 def chain_batchnorm_relu(x, gamma, beta, running_mean, running_var, training):
-    """The batchnorm and relu records tc_forward used to make."""
+    """The batchnorm and relu records tc_forward makes after its temporal conv,
+    and the tail of the chain spatial_graph_bn_relu replaces."""
     return relu(batchnorm(x, gamma, beta, running_mean, running_var, training))
 
 

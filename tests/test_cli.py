@@ -679,11 +679,25 @@ def test_ablate_unread_key_is_config_error(tmp_path, dataset_dir, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command,out", [("train", "run"), ("ablate", "table/heads.csv")])
+def test_negative_seed_is_config_error_before_any_output(tmp_path, dataset_dir, capsys,
+                                                         command, out):
+    suite = ["--suite", "heads"] if command == "ablate" else []
+    code = main([command, *suite, "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / out), *TRAIN_OPTIONS, "--set", "seed=-1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: seed must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / out.split("/")[0]).exists()
+
+
 IMPOSSIBLE_SIZES = [
     ("layers", "3:8:1:tc:-1", "temporal kernel size must be at least 1, got -1"),
     ("joints", "0", "num_joints must be at least 1, got 0"),
     ("frames", "0", "fixed_length must be at least 1, got 0"),
     ("bodies", "-2", "max_bodies must be at least 1, got -2"),
+    ("graph_center", "5", "graph_center 5 outside the chain graph's joints 0..4"),
 ]
 
 
@@ -705,7 +719,7 @@ def _set_config(key, value):
             manifest["config"]["layers"][0][4] = int(value.split(":")[4])
         else:
             name = {"joints": "num_joints", "frames": "fixed_length", "bodies": "max_bodies"}
-            manifest["config"][name[key]] = int(value)
+            manifest["config"][name.get(key, key)] = int(value)
     return edit
 
 

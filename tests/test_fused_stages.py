@@ -1,12 +1,10 @@
-"""The fused relevance-head, batchnorm-ReLU, spatial and spatial-temporal
-stages reproduce the op chains they replace bit for bit, outputs and every
-gradient."""
+"""The fused relevance-head, spatial and spatial-temporal stages reproduce
+the op chains they replace bit for bit, outputs and every gradient."""
 import numpy as np
 import pytest
 
-from oracles import chain_batchnorm_relu, chain_calculated_heads, chain_spatial_graph_bn_relu
+from oracles import chain_calculated_heads, chain_spatial_graph_bn_relu
 from tegraph import gradcheck, precision
-from tegraph.batchnorm import batchnorm_relu
 from tegraph.blocks import (
     SGBlock,
     TCBlock,
@@ -21,7 +19,7 @@ from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
 from tegraph.temporal import MultiHeadTemporalConv, build_heads
 from tegraph.tensor import OP_NAMES, Tape, Tensor, add, calculated_heads, mul, sum_all
 
-FUSED = ["calculated_heads", "batchnorm_relu", "spatial_graph_bn_relu", "spatial_temporal_stage"]
+FUSED = ["calculated_heads", "spatial_graph_bn_relu", "spatial_temporal_stage"]
 
 
 def assert_all_equal(fused, chain):
@@ -82,56 +80,26 @@ def assert_rectified(out):
     assert out.size < 1000 or ((out == 0).any() and (out > 0).any())
 
 
-def run_bn_stage(op, x_data, gamma_data, beta_data, seed, x_grad, training, *linear):
-    """Output, every gradient and the running buffers after one taped call.
-
-    `linear` is (weights, partitions, masks) for the spatial stage, which
-    takes them, gamma, beta and the buffers through an SGBlock."""
+def run_sg_stage(op, x_data, gamma_data, beta_data, seed, x_grad, training, weights,
+                 partitions, masks):
+    """Output, every gradient and the running buffers after one taped call of
+    op(sg, x), whose SGBlock takes the weights, masks, gamma, beta and buffers."""
     x = Tensor(x_data)
     x.grad = x_grad.copy()
     gamma, beta = Tensor(gamma_data), Tensor(beta_data)
     channels = gamma_data.shape[0]
     running_mean = np.linspace(-0.5, 0.5, channels).astype(gamma_data.dtype)
     running_var = np.linspace(0.5, 2.0, channels).astype(gamma_data.dtype)
-    tensors = [x, gamma, beta]
-    args = (x, gamma, beta, running_mean, running_var, training)
-    if linear:
-        weights, partitions, masks = linear
-        sg = SGBlock(x_data.shape[0], channels, partitions, "t.sg")
-        tensors += [Tensor(a) for a in weights + masks]
-        for param, t in zip(sg.parameters(), tensors[3:] + [gamma, beta]):
-            param.value = t
-        sg.bn.running_mean, sg.bn.running_var = running_mean, running_var
-        sg.bn.training = training
-        args = (sg, x)
+    tensors = [x, gamma, beta] + [Tensor(a) for a in weights + masks]
+    sg = SGBlock(x_data.shape[0], channels, partitions, "t.sg")
+    for param, t in zip(sg.parameters(), tensors[3:] + [gamma, beta]):
+        param.value = t
+    sg.bn.running_mean, sg.bn.running_var = running_mean, running_var
+    sg.bn.training = training
     with Tape() as tape:
-        out = op(*args)
+        out = op(sg, x)
         tape.backward(out, seed=seed)
     return [out.data, running_mean, running_var] + [t.grad for t in tensors]
-
-
-BN_CASES = [
-    # (channels, frames, joints)
-    (3, 4, 5),
-    (5, 1, 2),   # T = 1
-    (64, 300, 25),  # a capture-scale layer
-]
-
-
-@pytest.mark.parametrize("training", [True, False])
-@pytest.mark.parametrize("mode", ["verify", "train"])
-@pytest.mark.parametrize("channels,frames,joints", BN_CASES)
-def test_batchnorm_relu_is_bit_identical_to_the_chain(training, mode, channels, frames,
-                                                      joints):
-    with precision.scoped_mode(mode):
-        draw = drawer(channels + frames)
-        x, x_grad = draw(channels, frames, joints), draw(channels, frames, joints)
-        gamma, beta, seed = draw(channels), draw(channels), draw(channels, frames, joints)
-        fused = run_bn_stage(batchnorm_relu, x, gamma, beta, seed, x_grad, training)
-        chain = run_bn_stage(chain_batchnorm_relu, x, gamma, beta, seed, x_grad, training)
-        assert fused[0].dtype == precision.dtype()
-    assert_rectified(fused[0])
-    assert_all_equal(fused, chain)
 
 
 SG_CASES = [
@@ -156,9 +124,9 @@ def test_spatial_graph_bn_relu_is_bit_identical_to_the_chain(training, mode, sub
         masks = [draw(joints, joints) for _ in range(subsets)]
         gamma, beta, seed = draw(c_out), draw(c_out), draw(c_out, frames, joints)
         linear = (weights, partitions, masks)
-        fused = run_bn_stage(spatial_graph_bn_relu, x, gamma, beta, seed, x_grad, training,
+        fused = run_sg_stage(spatial_graph_bn_relu, x, gamma, beta, seed, x_grad, training,
                              *linear)
-        chain = run_bn_stage(chain_spatial_graph_bn_relu, x, gamma, beta, seed, x_grad,
+        chain = run_sg_stage(chain_spatial_graph_bn_relu, x, gamma, beta, seed, x_grad,
                              training, *linear)
         assert fused[0].dtype == precision.dtype()
     assert_rectified(fused[0])
@@ -239,9 +207,9 @@ def test_each_stage_is_one_record():
         adjacencies = build_heads(mhc, s)
         assert op_names(tape)[1:] == ["calculated_heads"] and len(adjacencies) == 3
         tc_forward(tc, s)
-        assert op_names(tape)[2:] == ["temporal_conv", "batchnorm_relu"]
+        assert op_names(tape)[2:] == ["temporal_conv", "batchnorm", "relu"]
         spatial_temporal_stage(sg, tc, Tensor(rng.normal(size=(3, 6, 4))))
-        assert op_names(tape)[4:] == ["spatial_temporal_stage"]
+        assert op_names(tape)[5:] == ["spatial_temporal_stage"]
 
 
 def test_validation():
@@ -253,9 +221,6 @@ def test_validation():
         calculated_heads(f, [w], [w, w])
     with pytest.raises(ShapeError, match="b-projection 1"):
         calculated_heads(f, [w, w], [w, Tensor(np.zeros((2, 3)))])
-    with pytest.raises(ShapeError, match="scale/shift"):
-        batchnorm_relu(f, Tensor(np.ones(3)), Tensor(np.zeros(4)), np.zeros(4), np.ones(4),
-                       True)
     sg = SGBlock(4, 8, normalized_partitions(chain_graph(3, 0)), "t.sg")
     with pytest.raises(ShapeError, match="t.tc: takes 6 channels, t.sg makes 8"):
         spatial_temporal_stage(sg, TCBlock(6, 3, 1, "t.tc"), f)

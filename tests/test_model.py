@@ -59,6 +59,10 @@ def test_model_config_validation():
         ModelConfig([LayerSpec(3, 4)], 1, 4, 6)
     with pytest.raises(ConfigError, match="relevance"):
         ModelConfig([LayerSpec(3, 4)], 2, 4, 6, relevance="learned")
+    for center in (-1, 4):
+        with pytest.raises(ConfigError, match=f"graph_center {center} outside"):
+            ModelConfig([LayerSpec(3, 4)], 2, 4, 6, graph_center=center)
+    assert ModelConfig([LayerSpec(3, 4)], 2, 4, 6, graph="ntu", graph_center=20).graph == "ntu"
 
 
 def test_model_config_dict_round_trip():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from tegraph import precision
-from tegraph.batchnorm import BatchNorm, batchnorm, batchnorm_relu
+from tegraph.batchnorm import BatchNorm, batchnorm
 from tegraph.blocks import SGBlock, TCBlock, spatial_graph_bn_relu, spatial_temporal_stage
 from tegraph.model import Network, backbone_config
 from tegraph.tensor import (
@@ -87,10 +87,6 @@ CASES = {
     "batchnorm": (lambda r: {"x": _t(r, 3, 4, 5), "gamma": _t(r, 3), "beta": _t(r, 3)},
                   lambda i: batchnorm(i["x"], i["gamma"], i["beta"], np.zeros(3),
                                       np.ones(3), training=True), set()),
-    "batchnorm_relu": (lambda r: {"x": _t(r, 3, 4, 5), "gamma": _t(r, 3), "beta": _t(r, 3)},
-                       lambda i: batchnorm_relu(i["x"], i["gamma"], i["beta"], np.zeros(3),
-                                                np.ones(3), training=True),
-                       {"gamma", "beta"}),  # to rebuild the mask from xhat
     "temporal_conv": (lambda r: {"x": _t(r, 3, 7, 2), "kernel": _t(r, 4, 3, 3)},
                       lambda i: temporal_conv(i["x"], i["kernel"], 2, 1), {"x", "kernel"}),
     "spatial_graph_conv": (
@@ -132,7 +128,6 @@ CASES = {
 # b_cols (6, 5).
 SPATIAL_SHAPES = {(2, 4, 5), (2, 20), (8, 5)}
 DROPPED_SHAPES = {
-    "batchnorm_relu": set(),
     "spatial_graph_bn_relu": SPATIAL_SHAPES,
     "spatial_temporal_stage": SPATIAL_SHAPES | {(2, 6, 5), (2, 30), (12, 5), (2, 2, 5), (2, 10)},
     "calculated_heads": {(5, 6), (6, 5), (2, 5, 3)},

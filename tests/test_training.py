@@ -66,6 +66,9 @@ def test_train_config_validation():
         TrainConfig(momentum=1.0)
     with pytest.raises(ConfigError):
         TrainConfig(weight_decay=-1e-4)
+    with pytest.raises(ConfigError, match="seed must be nonnegative"):
+        TrainConfig(seed=-1)
+    assert TrainConfig(learning_rate=-0.0).learning_rate == 0.0
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
