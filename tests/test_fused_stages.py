@@ -1,9 +1,10 @@
 """The fused relevance-head, spatial and spatial-temporal stages reproduce
-the op chains they replace bit for bit, outputs and every gradient."""
+the op chains they replace bit for bit, outputs and every gradient, and a
+temporal block records exactly its conv -> batchnorm -> ReLU chain."""
 import numpy as np
 import pytest
 
-from oracles import chain_calculated_heads, chain_spatial_graph_bn_relu
+from oracles import chain_batchnorm_relu, chain_calculated_heads, chain_spatial_graph_bn_relu
 from tegraph import gradcheck, precision
 from tegraph.blocks import (
     SGBlock,
@@ -17,7 +18,16 @@ from tegraph.blocks import (
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
 from tegraph.temporal import MultiHeadTemporalConv, build_heads
-from tegraph.tensor import OP_NAMES, Tape, Tensor, add, calculated_heads, mul, sum_all
+from tegraph.tensor import (
+    OP_NAMES,
+    Tape,
+    Tensor,
+    add,
+    calculated_heads,
+    mul,
+    sum_all,
+    temporal_conv,
+)
 
 FUSED = ["calculated_heads", "spatial_graph_bn_relu", "spatial_temporal_stage"]
 
@@ -131,6 +141,58 @@ def test_spatial_graph_bn_relu_is_bit_identical_to_the_chain(training, mode, sub
         assert fused[0].dtype == precision.dtype()
     assert_rectified(fused[0])
     assert_all_equal(fused, chain)
+
+
+def run_tc_block(chained, channels, frames, joints, kernel_t, stride, training):
+    """Output, every gradient and the running buffers of one taped temporal
+    block, through tc_forward or through temporal_conv -> chain_batchnorm_relu
+    on the block's own kernel, scale, shift and buffers; x already holds a
+    gradient, so its accumulation is compared as well."""
+    draw = drawer(channels + frames + kernel_t + stride)
+    tc = TCBlock(channels, kernel_t, stride, "l.tc", seed=5)
+    for p in tc.parameters():
+        p.assign(p.value.data + 0.2 * draw(*p.shape))
+    tc.bn.running_mean += 0.1 * draw(channels)
+    tc.bn.running_var += np.abs(draw(channels))
+    tc.bn.training = training
+    x = Tensor(draw(channels, frames, joints))
+    x.grad = draw(channels, frames, joints)
+    seed = draw(channels, tc_output_length(frames, stride), joints)
+    with Tape() as tape:
+        if chained:
+            bn = tc.bn
+            out = chain_batchnorm_relu(temporal_conv(x, tc.kernel.value, tc.stride, tc.pad),
+                                       bn.gamma.value, bn.beta.value, bn.running_mean,
+                                       bn.running_var, bn.training)
+        else:
+            out = tc_forward(tc, x)
+        tape.backward(out, seed=seed)
+    return ([out.data, x.grad] + [p.grad for p in tc.parameters()]
+            + [buf for _, buf in tc.bn.buffers()])
+
+
+TC_BLOCK_CASES = [
+    # (channels, frames, joints, kernel_t, stride)
+    (3, 4, 5, 3, 1),
+    (5, 1, 2, 3, 2),   # T = 1 < stride
+    (64, 300, 25, 9, 1),  # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("channels,frames,joints,kernel_t,stride", TC_BLOCK_CASES)
+def test_tc_forward_is_bit_identical_to_the_chain(training, mode, channels, frames, joints,
+                                                  kernel_t, stride):
+    """A both layer's temporal block records exactly the chain the retired
+    fused batchnorm-ReLU was proven equal to."""
+    case = (channels, frames, joints, kernel_t, stride, training)
+    with precision.scoped_mode(mode):
+        block = run_tc_block(False, *case)
+        chain = run_tc_block(True, *case)
+        assert block[0].dtype == precision.dtype()
+    assert_rectified(block[0])
+    assert_all_equal(block, chain)
 
 
 def run_tc_layer(fused, c_in, c_out, frames, joints, kernel_t, stride, training):
