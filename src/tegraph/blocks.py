@@ -240,7 +240,8 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
         raise ShapeError(f"{tc.identifier}: takes {tc.channels} channels, "
                          f"{sg.identifier} makes {sg.out_channels}")
     s_data, spatial_backward = _spatial_stage(sg, f)
-    blank, tconv, tc_backward = _temporal(s_data.shape, tc.kernel.value, tc.stride, tc.pad)
+    blank, tconv, kernel_grad, input_grad = _temporal(s_data.shape, tc.kernel.value,
+                                                      tc.stride, tc.pad)
     padded, interior = blank()
     interior[...] = s_data
     del s_data, interior
@@ -264,7 +265,9 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
             np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
             dt = _relu_backward(out_cell.grad, _center(tconv(padded), mean, sigma), tc_gamma,
                                 tc_beta, scale, training, tc_gamma_cell, tc_beta_cell)
-            return tc_backward(dt, padded)
+            kernel_grad(dt, padded)
+            del padded, s  # freed before input_grad makes its own padded buffer
+            return input_grad(dt)
 
         def rule():
             if out_cell.grad is None:

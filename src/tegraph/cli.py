@@ -148,13 +148,14 @@ def model_config_from(options: dict[str, str]) -> ModelConfig:
         seed=_get(options, "seed", 0, int),
     )
     if "layers" in options:
+        graph = _get(options, "graph", "chain", str)
         return ModelConfig(
             layers=parse_layer_specs(options["layers"]),
             num_joints=_get(options, "joints", 5, int),
             fixed_length=_get(options, "frames", 32, int),
             max_bodies=_get(options, "bodies", 1, int),
-            graph=_get(options, "graph", "chain", str),
-            graph_center=_get(options, "graph_center", 0, int),
+            graph=graph,
+            graph_center=_get(options, "graph_center", 0, int) if graph == "chain" else 0,
             **common,
         )
     return backbone_config(

@@ -36,8 +36,10 @@ the mask one channel map at a time; `spatial_temporal_stage` keeps the
 same plus the temporal kernel and statistics, never the spatial output s
 or the temporal xhat: its rule rebuilds s straight into the zero-padded
 buffer the kernel-gradient taps read and runs the temporal conv on it
-again.  Every other intermediate is freed as soon as the forward pass
-drops it, while the tape is still live.
+again.  A temporal conv's backward takes the kernel gradient first and
+frees the padded input before the input gradient's padded buffer is made.
+Every other intermediate is freed as soon as the forward pass drops it,
+while the tape is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
@@ -129,7 +131,8 @@ class Parameter:
 
     The gradient buffer accumulates across backward passes (one contribution
     per pass) until `zero_grad` resets it; this is what batch-gradient
-    accumulation relies on.
+    accumulation relies on.  `zero_grad` and `training.sgd_step` write the
+    gradient and the value in place.
     """
 
     __slots__ = ("value", "identifier")
@@ -148,7 +151,10 @@ class Parameter:
         return self.value.shape
 
     def zero_grad(self) -> None:
-        self.value.grad = np.zeros_like(self.value.data)
+        if self.value.grad is None:
+            self.value.grad = np.zeros_like(self.value.data)
+        else:
+            self.value.grad.fill(0)
 
     def assign(self, data: np.ndarray) -> None:
         """Overwrite the parameter value in place (exclusive access required)."""
@@ -517,9 +523,11 @@ def _temporal(shape: tuple, kernel: Tensor, stride: int, pad: int):
     interior, which the caller fills with the input.  `conv(padded)` is the
     (C_out, T_out, J) output: tap k of every window is one (C_in, T_out * J)
     block multiplied by kernel[:, :, k], summed in order k = 0..K-1.
-    `backward(g, padded)` adds the kernel gradient to the kernel's cell and
-    returns the input gradient, a fresh array's interior view, with the taps
-    replayed k = K-1..0.  The closures hold the kernel, never a Tensor.
+    For the output gradient `g`, `kernel_grad(g, padded)` adds the kernel
+    gradient to the kernel's cell and `input_grad(g)` returns the input
+    gradient, a fresh array's interior view, both replaying the taps
+    k = K-1..0; `padded` can be freed between the two.  The closures hold
+    the kernel, never a Tensor.
     """
     if len(shape) != 3 or kernel.data.ndim != 3:
         raise ShapeError(f"temporal_conv expects 3-D operands, got {shape} and {kernel.shape}")
@@ -554,18 +562,22 @@ def _temporal(shape: tuple, kernel: Tensor, stride: int, pad: int):
             acc += weight(k) @ tap(padded, k)
         return acc.reshape(c_out, out_frames, joints)
 
-    def backward(g: np.ndarray, padded: np.ndarray) -> np.ndarray:
+    def kernel_grad(g: np.ndarray, padded: np.ndarray) -> None:
         g = g.reshape(c_out, -1)
         d_kernel = np.zeros_like(kernel_data)
-        d_padded = np.zeros_like(padded)
         for k in reversed(range(taps)):
             d_kernel[:, :, k] = g @ tap(padded, k).T
+        _accumulate(kernel_cell, d_kernel)
+
+    def input_grad(g: np.ndarray) -> np.ndarray:
+        g = g.reshape(c_out, -1)
+        d_padded, _ = blank()
+        for k in reversed(range(taps)):
             d_padded[:, k:k + span:stride] += (weight(k).T @ g).reshape(
                 c_in, out_frames, joints)
-        _accumulate(kernel_cell, d_kernel)
         return d_padded[:, pad:pad + frames]
 
-    return blank, conv, backward
+    return blank, conv, kernel_grad, input_grad
 
 
 def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
@@ -580,7 +592,7 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     The backward rule re-pads `x` and rebuilds the taps instead of keeping
     them.
     """
-    blank, conv, backward = _temporal(x.data.shape, kernel, stride, pad)
+    blank, conv, kernel_grad, input_grad = _temporal(x.data.shape, kernel, stride, pad)
     x_data = x.data
 
     def padded() -> np.ndarray:
@@ -597,7 +609,8 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
         def rule():
             if out_cell.grad is None:
                 return
-            _accumulate(x_cell, backward(out_cell.grad, padded()), fresh=True)
+            kernel_grad(out_cell.grad, padded())  # the padded copy is freed here
+            _accumulate(x_cell, input_grad(out_cell.grad), fresh=True)
 
         tape.record(rule)
     return out
@@ -812,6 +825,7 @@ def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
                     d_tm = term
                 else:
                     d_tm += term
+                del d_mixed, term  # freed before the next head allocates
             _accumulate(x_cell, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
 
         tape.record(rule)

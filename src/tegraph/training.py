@@ -24,12 +24,14 @@ Memory: each training sample records its own Tape and replays it before
 the next sample starts.  During the forward pass the tape retains only
 what the backward rules read (see tensor.py), so a step's peak is one
 sample's retained arrays on top of the parameters, their gradients and
-the momentum buffers.  A tc layer keeps no conv output and no xhat: its
-one record rebuilds them in backward.  The next step reuses the memory the
-last one freed only if the allocator keeps it: `tegraph.cli.main` raises
-glibc's trim and mmap thresholds for that, which saves about 70k minor page
-faults per capture-scale step and costs no peak RSS, since resident memory
-stays at the high-water mark the step reaches anyway.
+the momentum buffers, which are all updated in place (only the first step
+allocates the momentum buffers).  A tc layer keeps no conv output and no
+xhat: its one record rebuilds them in backward.  The next step reuses the
+memory the last one freed only if the allocator keeps it:
+`tegraph.cli.main` raises glibc's trim and mmap thresholds for that, which
+saves about 70k minor page faults per capture-scale step and costs no peak
+RSS, since resident memory stays at the high-water mark the step reaches
+anyway.
 """
 from __future__ import annotations
 
@@ -122,17 +124,19 @@ def lr_at(config: TrainConfig, epoch: int) -> float:
 
 def sgd_step(params, lr: float, weight_decay: float, momentum: float,
              state: dict[str, np.ndarray]) -> None:
-    """v <- mu v + g + lambda theta;  theta <- theta - lr v."""
+    """v <- mu v + g + lambda theta;  theta <- theta - lr v, in place (step 1 allocates v)."""
     for p in params:
         g = p.grad
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in parameter {p.identifier}")
+        theta = p.value.data
         v = state.get(p.identifier)
         if v is None:
-            v = np.zeros_like(p.value.data)
-        v = momentum * v + g + weight_decay * p.value.data
-        state[p.identifier] = v
-        p.value.data = p.value.data - lr * v
+            v = state[p.identifier] = np.zeros_like(theta)
+        v *= momentum
+        v += g
+        v += weight_decay * theta
+        theta -= lr * v
 
 
 @dataclass

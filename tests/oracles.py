@@ -210,3 +210,12 @@ def chain_spatial_graph_bn_relu(sg, x):
                              [mask.value for mask in sg.masks])
     return chain_batchnorm_relu(out, bn.gamma.value, bn.beta.value, bn.running_mean,
                                 bn.running_var, bn.training)
+
+
+def sgd_step_out_of_place(theta, g, v, lr, weight_decay, momentum):
+    """The SGD step as fresh arrays, (theta', v'), for a momentum buffer `v`
+    (None before the first step): the formula training.sgd_step runs in place."""
+    if v is None:
+        v = np.zeros_like(theta)
+    v = momentum * v + g + weight_decay * theta
+    return theta - lr * v, v

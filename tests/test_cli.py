@@ -188,6 +188,8 @@ def test_readme_key_tables_list_exactly_the_keys_train_reads():
     ({"classes": "2", "layers": "3:4", "replace_all": "true", "insertion_layer": "42",
       "insertion_mode": "tc"}, "insertion_layer, insertion_mode, replace_all"),
     ({"classes": "2", "graph": "chain", "graph_center": "1"}, "graph_center"),
+    ({"classes": "2", "layers": "3:4", "joints": "25", "graph": "ntu", "graph_center": "7"},
+     "graph_center"),
 ])
 def test_run_configs_rejects_keys_the_run_never_reads(options, unread):
     with pytest.raises(ConfigError, match=f"not read by this run: {unread}$"):
@@ -688,6 +690,22 @@ def test_negative_seed_is_config_error_before_any_output(tmp_path, dataset_dir, 
     assert code == 2
     err = capsys.readouterr().err
     assert "configuration error: seed must be nonnegative, got -1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / out.split("/")[0]).exists()
+
+
+@pytest.mark.parametrize("command,out", [("train", "run"), ("ablate", "table/heads.csv")])
+def test_graph_center_of_an_ntu_graph_is_config_error_before_any_output(
+        tmp_path, dataset_dir, capsys, command, out):
+    # The ntu graph is always centered at joint 20, so a graph_center beside it
+    # would be stored in the config and the checkpoint without taking effect.
+    suite = ["--suite", "heads"] if command == "ablate" else []
+    code = main([command, *suite, "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / out), *TRAIN_OPTIONS, "--set", "joints=25",
+                 "--set", "graph=ntu", "--set", "graph_center=7"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config keys not read by this run: graph_center" in err
     assert "Traceback" not in err
     assert not (tmp_path / out.split("/")[0]).exists()
 

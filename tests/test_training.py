@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import sgd_step_out_of_place
+from tegraph import precision
 from tegraph.errors import ConfigError, DataError, NumericError
 from tegraph.model import LayerSpec, ModelConfig, Network
 from tegraph.tensor import Parameter, Tensor
@@ -151,6 +153,46 @@ def test_sgd_weight_decay_shrinks_without_gradient():
     p = make_param([2.0])
     sgd_step([p], lr=0.1, weight_decay=0.01, momentum=0.0, state={})
     assert p.value.data[0] == pytest.approx(1.998, rel=1e-12)
+
+
+DTYPES = {"train": np.float32, "verify": np.float64}
+
+
+@pytest.mark.parametrize("mode", sorted(DTYPES))
+def test_sgd_updates_in_place_bit_for_bit_as_the_out_of_place_formula(mode):
+    rng = np.random.default_rng(8)
+    with precision.scoped_mode(mode):
+        params = [Parameter(rng.normal(size=shape), f"p{n}")
+                  for n, shape in enumerate([(4, 3), (5,), (2, 3, 3)])]
+    values = [p.value.data for p in params]
+    want = {p.identifier: (p.value.data.copy(), None) for p in params}
+    state = {}
+    for step in range(3):
+        for p in params:
+            p.zero_grad()
+            p.value.grad += rng.normal(size=p.shape).astype(p.grad.dtype)
+            theta, v = want[p.identifier]
+            want[p.identifier] = sgd_step_out_of_place(theta, p.grad, v, lr=0.1,
+                                                       weight_decay=5e-4, momentum=0.9)
+        sgd_step(params, lr=0.1, weight_decay=5e-4, momentum=0.9, state=state)
+        if step == 0:
+            buffers = [state[p.identifier] for p in params]
+        for p, value, buffer in zip(params, values, buffers):
+            theta, v = want[p.identifier]
+            assert p.value.data is value and state[p.identifier] is buffer
+            assert p.value.data.dtype == theta.dtype == DTYPES[mode]
+            assert np.array_equal(p.value.data, theta) and np.array_equal(buffer, v)
+
+
+def test_zero_grad_zeroes_the_gradient_in_place():
+    p = make_param([1.0, -2.0])
+    grad = p.grad
+    p.value.grad += 3.0
+    p.zero_grad()
+    assert p.grad is grad and not p.grad.any()
+    p.value.grad = None
+    p.zero_grad()
+    assert np.array_equal(p.grad, [0.0, 0.0])
 
 
 def test_sgd_rejects_non_finite_gradient():
