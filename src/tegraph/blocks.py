@@ -13,7 +13,8 @@ The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
 their own batchnorm and ReLU: the whole spatial stage conv -> bn -> relu is
 the one `spatial_graph_bn_relu` record, while `tc_forward` records the
-temporal conv, the batchnorm and the ReLU one op each.  Where the temporal
+temporal conv, the batchnorm and the ReLU one op each.  A residual unit's
+projection skip path is a one-tap `temporal_conv`.  Where the temporal
 block reads the spatial output s directly (a tc-mode layer),
 `spatial_temporal_stage` records both blocks as one record that keeps
 neither s nor the temporal conv output.  The spatial stage's arithmetic,
@@ -36,20 +37,10 @@ from .tensor import (
     _spatial_graph,
     _temporal,
     active_tape,
-    matmul,
     relu,
-    reshape,
-    slice_axis,
     spatial_graph_conv,
     temporal_conv,
 )
-
-
-def _channel_map(weight: Tensor, f: Tensor) -> Tensor:
-    """(C_out, C_in) x (C_in, T, J) -> (C_out, T, J), a 1x1 convolution."""
-    c_in, t, j = f.shape
-    flat = reshape(f, (c_in, t * j))
-    return reshape(matmul(weight, flat), (weight.shape[0], t, j))
 
 
 class SGBlock:
@@ -199,7 +190,11 @@ def tc_forward(block: TCBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
 
 
 class ChannelProjection:
-    """Strided 1x1 channel map without bn; the non-identity residual path."""
+    """Strided 1x1 channel map without bn; the non-identity residual path.
+
+    It is a one-tap `temporal_conv` with a (C_out, C_in, 1) kernel and no
+    padding: frame p of the output maps input frame p * stride.
+    """
 
     def __init__(self, in_channels: int, out_channels: int, stride: int,
                  identifier: str, seed: int = 0):
@@ -209,16 +204,12 @@ class ChannelProjection:
         self.identifier = identifier
         self.weight = Parameter(
             init.uniform_fan_in(seed, f"{identifier}.weight",
-                                (out_channels, in_channels), in_channels),
+                                (out_channels, in_channels, 1), in_channels),
             f"{identifier}.weight",
         )
 
     def __call__(self, f: Tensor) -> Tensor:
-        if self.stride > 1:
-            frames = f.shape[1]
-            f = slice_axis(f, 1, 0, (tc_output_length(frames, self.stride) - 1)
-                           * self.stride + 1, self.stride)
-        return _channel_map(self.weight.value, f)
+        return temporal_conv(f, self.weight.value, self.stride, 0)
 
     def parameters(self) -> list[Parameter]:
         return [self.weight]

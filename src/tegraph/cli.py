@@ -243,9 +243,9 @@ def cmd_train(args) -> int:
     model_config, tconfig = run_configs(gather_options(args))
     train_set = load_split(args.data, args.modality, "train")
     eval_set = load_split(args.data, args.modality, "eval")
+    network = Network(model_config)  # a model that cannot be built leaves no --out
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    network = Network(model_config)
     log_blas(network)
     history = train(
         network, train_set, eval_set or None, tconfig,

@@ -25,7 +25,7 @@ map to class logits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,30 +260,33 @@ class TGCNLayer:
 class Network:
     def __init__(self, config: ModelConfig, graph: SkeletonGraph | None = None):
         self.config = config
-        self.graph = graph if graph is not None else build_graph(config)
-        if self.graph.num_joints != config.num_joints:
-            raise ConfigError(
-                f"graph has {self.graph.num_joints} joints, config says {config.num_joints}"
+        try:
+            self.graph = graph if graph is not None else build_graph(config)
+            if self.graph.num_joints != config.num_joints:
+                raise ConfigError(
+                    f"graph has {self.graph.num_joints} joints, config says {config.num_joints}"
+                )
+            partitions = normalized_partitions(self.graph)
+            joints = config.num_joints
+            self.data_bn = BatchNorm(3 * joints, "input.bn")
+            self.layers: list[TGCNLayer] = []
+            frames = config.fixed_length
+            for i, spec in enumerate(config.layers, start=1):
+                layer = TGCNLayer(spec, partitions, frames, config.heads, config.relevance,
+                                  joints, f"layer{i}", config.seed)
+                self.layers.append(layer)
+                frames = layer.out_frames
+            self.final_frames = frames
+            self.final_channels = config.layers[-1].out_channels
+            self.fc_weight = Parameter(
+                init.uniform_fan_in(config.seed, "fc.weight",
+                                    (self.final_channels, config.num_classes),
+                                    self.final_channels),
+                "fc.weight",
             )
-        partitions = normalized_partitions(self.graph)
-        joints = config.num_joints
-        self.data_bn = BatchNorm(3 * joints, "input.bn")
-        self.layers: list[TGCNLayer] = []
-        frames = config.fixed_length
-        for i, spec in enumerate(config.layers, start=1):
-            layer = TGCNLayer(spec, partitions, frames, config.heads, config.relevance,
-                              joints, f"layer{i}", config.seed)
-            self.layers.append(layer)
-            frames = layer.out_frames
-        self.final_frames = frames
-        self.final_channels = config.layers[-1].out_channels
-        self.fc_weight = Parameter(
-            init.uniform_fan_in(config.seed, "fc.weight",
-                                (self.final_channels, config.num_classes),
-                                self.final_channels),
-            "fc.weight",
-        )
-        self.fc_bias = Parameter(init.zeros((1, config.num_classes)), "fc.bias")
+            self.fc_bias = Parameter(init.zeros((1, config.num_classes)), "fc.bias")
+        except MemoryError as exc:
+            raise ConfigError(f"the model does not fit in memory: {exc}")
         self.training = True
 
     # -- plumbing -----------------------------------------------------------

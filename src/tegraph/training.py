@@ -44,7 +44,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
-from pathlib import Path
 
 import numpy as np
 

@@ -19,6 +19,7 @@ from tegraph.tensor import (
     permute,
     relu,
     reshape,
+    slice_axis,
     softmax_rows,
     spatial_graph_conv,
 )
@@ -210,6 +211,16 @@ def chain_spatial_graph_bn_relu(sg, x):
                              [mask.value for mask in sg.masks])
     return chain_batchnorm_relu(out, bn.gamma.value, bn.beta.value, bn.running_mean,
                                 bn.running_var, bn.training)
+
+
+def chain_channel_projection(f, w2d, stride):
+    """The slice/reshape/matmul chain ChannelProjection used to record for a
+    (C_out, C_in) weight: every stride-th frame, then a 1x1 channel map."""
+    if stride > 1:
+        frames = f.shape[1]
+        f = slice_axis(f, 1, 0, (-(-frames // stride) - 1) * stride + 1, stride)
+    c_in, t, j = f.shape
+    return reshape(matmul(w2d, reshape(f, (c_in, t * j))), (w2d.shape[0], t, j))
 
 
 def sgd_step_out_of_place(theta, g, v, lr, weight_decay, momentum):

@@ -9,7 +9,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from oracles import (
     feature_calculated_oracle,

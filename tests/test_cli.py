@@ -754,6 +754,42 @@ def test_eval_checkpoint_with_an_impossible_size_is_data_error(trained_dir, data
     assert "bad checkpoint config" in err and message in err and "Traceback" not in err
 
 
+# A feature-learned head holds a (T, T) map: at 10^7 frames it is hundreds of
+# TiB, so the allocation fails at once without taking real memory.
+HUGE_FRAMES = 10**7
+HUGE_MODEL = ["--set", "layers=3:8:1:tc:3,8:8:1:tgraph:3", "--set", "relevance=feature-learned",
+              "--set", f"frames={HUGE_FRAMES}"]
+
+
+@pytest.mark.parametrize("command,out", [("train", "run"), ("ablate", "table/heads.csv")])
+def test_model_too_large_to_allocate_is_config_error_before_any_output(tmp_path, dataset_dir,
+                                                                       capsys, command, out):
+    suite = ["--suite", "heads"] if command == "ablate" else []
+    code = main([command, *suite, "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(tmp_path / out), *TRAIN_OPTIONS, *HUGE_MODEL])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "configuration error: the model does not fit in memory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / out.split("/")[0]).exists()
+
+
+def test_eval_checkpoint_of_a_model_too_large_to_allocate_is_data_error(trained_dir,
+                                                                        dataset_dir, tmp_path,
+                                                                        capsys):
+    def edit(manifest, tensors):
+        manifest["config"].update(layers=[[3, 8, 1, "tc", 3], [8, 8, 1, "tgraph", 3]],
+                                  relevance="feature-learned", fixed_length=HUGE_FRAMES)
+
+    path = rewrite_checkpoint(trained_dir / "checkpoint.tegc", tmp_path / "bad.tegc", edit)
+    code = main(["eval", "--checkpoint", str(path),
+                 "--data", str(dataset_dir / "manifest.jsonl")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "bad checkpoint config" in err and "does not fit in memory" in err
+    assert "Traceback" not in err
+
+
 def test_eval_runs_in_the_precision_the_checkpoint_was_saved_in(tmp_path, dataset_dir,
                                                                 capsys, monkeypatch):
     run = tmp_path / "run"

@@ -1,12 +1,19 @@
 """The fused relevance-head, spatial and spatial-temporal stages reproduce
-the op chains they replace bit for bit, outputs and every gradient, and a
-temporal block records exactly its conv -> batchnorm -> ReLU chain."""
+the op chains they replace bit for bit, outputs and every gradient, a
+temporal block records exactly its conv -> batchnorm -> ReLU chain, and a
+residual projection's one-tap temporal conv is its old slice/matmul chain."""
 import numpy as np
 import pytest
 
-from oracles import chain_batchnorm_relu, chain_calculated_heads, chain_spatial_graph_bn_relu
+from oracles import (
+    chain_batchnorm_relu,
+    chain_calculated_heads,
+    chain_channel_projection,
+    chain_spatial_graph_bn_relu,
+)
 from tegraph import gradcheck, precision
 from tegraph.blocks import (
+    ChannelProjection,
     SGBlock,
     TCBlock,
     sg_forward,
@@ -20,6 +27,7 @@ from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
 from tegraph.temporal import MultiHeadTemporalConv, build_heads
 from tegraph.tensor import (
     OP_NAMES,
+    Parameter,
     Tape,
     Tensor,
     add,
@@ -193,6 +201,57 @@ def test_tc_forward_is_bit_identical_to_the_chain(training, mode, channels, fram
         assert block[0].dtype == precision.dtype()
     assert_rectified(block[0])
     assert_all_equal(block, chain)
+
+
+def run_projection(chained, c_in, c_out, frames, joints, stride):
+    """Output and every gradient of one taped residual projection, through
+    ChannelProjection or through the chain on its kernel as a (C_out, C_in)
+    matrix; x already holds a gradient, so its accumulation is compared too."""
+    draw = drawer(c_in + c_out + frames + stride)
+    proj = ChannelProjection(c_in, c_out, stride, "l.res", seed=5)
+    proj.weight.assign(proj.weight.value.data + 0.2 * draw(c_out, c_in, 1))
+    weight = proj.weight
+    if chained:
+        weight = Parameter(weight.value.data.reshape(c_out, c_in), "l.res.weight")
+    x = Tensor(draw(c_in, frames, joints))
+    x.grad = draw(c_in, frames, joints)
+    seed = draw(c_out, tc_output_length(frames, stride), joints)
+    with Tape() as tape:
+        out = chain_channel_projection(x, weight.value, stride) if chained else proj(x)
+        tape.backward(out, seed=seed)
+    return [out.data, x.grad, weight.grad.reshape(c_out, c_in)]
+
+
+PROJECTION_CASES = [
+    # (c_in, c_out, frames, joints, stride)
+    (3, 5, 6, 2, 1),
+    (3, 5, 7, 2, 2),   # odd T
+    (4, 6, 8, 3, 2),   # even T
+    (4, 6, 1, 3, 2),   # T = 1 < stride
+    (64, 128, 300, 25, 2),  # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("c_in,c_out,frames,joints,stride", PROJECTION_CASES)
+def test_channel_projection_is_bit_identical_to_the_chain(mode, c_in, c_out, frames, joints,
+                                                          stride):
+    case = (c_in, c_out, frames, joints, stride)
+    with precision.scoped_mode(mode):
+        projected = run_projection(False, *case)
+        chain = run_projection(True, *case)
+        assert projected[0].dtype == precision.dtype()
+    assert_all_equal(projected, chain)
+
+
+def test_strided_channel_projection_gradients_match_central_differences():
+    rng = np.random.default_rng(11)
+    proj = ChannelProjection(3, 4, 2, "t.res", seed=2)
+    x = Tensor(rng.normal(size=(3, 7, 2)))
+    w = Tensor(rng.normal(size=(4, 4, 2)))
+    result = gradcheck.grad_check(lambda: sum_all(mul(proj(x), w)),
+                                  [("x", x), ("weight", proj.weight.value)], tol=1e-5)
+    assert result.ok, str(result)
 
 
 def run_tc_layer(fused, c_in, c_out, frames, joints, kernel_t, stride, training):

@@ -161,11 +161,11 @@ def test_every_layer_records_one_op_per_graph_stage():
 # call, so the count depends on the model's structure, not on T.
 LONGRANGE_LAYERS = [LayerSpec(3, 12, 1, "tc", 3), LayerSpec(12, 12, 1, "tgraph", 3)]
 RECORD_CASES = {
-    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 58),
-    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 73),
-    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 109),
+    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 50),
+    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 65),
+    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 93),
     "longrange": (ModelConfig(layers=LONGRANGE_LAYERS, num_classes=2, num_joints=5,
-                              fixed_length=8, heads=2, relevance="feature-learned"), 45),
+                              fixed_length=8, heads=2, relevance="feature-learned"), 43),
 }
 
 
