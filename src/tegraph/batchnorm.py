@@ -1,10 +1,10 @@
 """Batch normalization over the leading channel axis.
 
-Implemented as a dedicated taped op with a hand-written backward rather
-than a composition of primitives: the composed graph would be an order of
-magnitude more tape records per layer, and the closed-form gradient is the
-one place the chain rule is genuinely error-prone, so the op gets its own
-gradient-check entry.  The arithmetic lives in five helpers that
+Implemented as a dedicated taped op with a hand-written backward, recorded
+through `tensor._record`, rather than a composition of primitives: the
+composed graph would be an order of magnitude more tape records per layer,
+and the closed-form gradient is the one place the chain rule is genuinely
+error-prone, so the op gets its own gradient-check entry.  The arithmetic lives in five helpers that
 `batchnorm` and the fused stages of blocks.py call, so they cannot drift
 apart: `_normalize` (the forward pass), `_center` (xhat from the input and
 the per-channel mean and sigma), `_affine` (gamma * xhat + beta),
@@ -42,7 +42,7 @@ import numpy as np
 
 from . import init, precision
 from .errors import ShapeError
-from .tensor import GradCell, Parameter, Tensor, _accumulate, _check_finite, active_tape
+from .tensor import GradCell, Parameter, Tensor, _accumulate, _check_finite, _record
 
 
 def _divide(total: np.ndarray, count: np.intp) -> np.ndarray:
@@ -158,20 +158,13 @@ def batchnorm(
 ) -> Tensor:
     out_data, xhat, _, _, scale = _normalize(x.data, gamma, beta, running_mean, running_var,
                                              training, eps, momentum)
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        x_cell, gamma_cell, beta_cell, out_cell = x.cell, gamma.cell, beta.cell, out.cell
+    cells = (beta.cell, gamma.cell, x.cell)
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            grads = _gradients(out_cell.grad, xhat, scale, training)
-            for cell, grad in zip((beta_cell, gamma_cell, x_cell), grads):
-                _accumulate(cell, grad, fresh=True)
+    def rule(g):
+        for cell, grad in zip(cells, _gradients(g, xhat, scale, training)):
+            _accumulate(cell, grad, fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(Tensor(out_data), rule)
 
 
 class BatchNorm:

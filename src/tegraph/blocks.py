@@ -20,7 +20,8 @@ block reads the spatial output s directly (a tc-mode layer),
 neither s nor the temporal conv output.  The spatial stage's arithmetic,
 forward and backward, lives only in `_spatial_stage`, which both fused
 records call, and every fused bn -> ReLU backward is
-`batchnorm._relu_backward`.  Oracle tests bypass bn and ReLU via
+`batchnorm._relu_backward`.  Both records go on the tape through
+`tensor._record`.  Oracle tests bypass bn and ReLU via
 apply_bn_relu to reach the raw linear maps.
 """
 from __future__ import annotations
@@ -34,9 +35,9 @@ from .tensor import (
     Parameter,
     Tensor,
     _check_finite,
+    _record,
     _spatial_graph,
     _temporal,
-    active_tape,
     relu,
     spatial_graph_conv,
     temporal_conv,
@@ -90,9 +91,9 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
     than one is alive.
     """
     _check_input(sg, f)
-    channel_map, conv, graph_backward = _spatial_graph(
+    conv, graph_backward = _spatial_graph(
         f, [w.value for w in sg.weights], sg.partitions, [mask.value for mask in sg.masks])
-    conv_out = conv(channel_map)
+    conv_out = conv()
     _check_finite(conv_out, "spatial_graph_conv")
     bn = sg.bn
     gamma, beta, training = bn.gamma.value, bn.beta.value, bn.training
@@ -101,11 +102,11 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
     gamma_cell, beta_cell, gamma, beta = gamma.cell, beta.cell, gamma.data, beta.data
 
     def backward(g_of) -> None:
-        xhat = _center(conv(channel_map), mean, sigma)
+        xhat = _center(conv(), mean, sigma)
         dx = _relu_backward(g_of(xhat), xhat, gamma, beta, scale, training, gamma_cell,
                             beta_cell)
         del xhat  # freed before the graph-conv backward allocates
-        graph_backward(dx, channel_map)
+        graph_backward(dx)
 
     return np.maximum(out, 0.0, out=out), backward
 
@@ -114,18 +115,11 @@ def spatial_graph_bn_relu(sg: SGBlock, f: Tensor) -> Tensor:
     """relu(batchnorm(spatial_graph_conv(f, ...))) through `sg` as one record, bit
     for bit: `_spatial_stage`, whose backward the rule replays."""
     out_data, backward = _spatial_stage(sg, f)
-    out = Tensor(out_data)
-    tape = active_tape()
-    if tape is not None:
-        out_cell = out.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            backward(lambda xhat: out_cell.grad)
+    def rule(g):
+        backward(lambda xhat: g)
 
-        tape.record(rule)
-    return out
+    return _record(Tensor(out_data), rule)
 
 
 def _check_input(block: SGBlock, f: Tensor) -> None:
@@ -244,26 +238,20 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     out_data, _, mean, sigma, scale = _normalize(t_data, tc_gamma, tc_beta, bn.running_mean,
                                                  bn.running_var, training, bn.eps, bn.momentum)
     del t_data
-    out = Tensor(np.maximum(out_data, 0.0, out=out_data))
-    tape = active_tape()
-    if tape is not None:
-        out_cell, tc_gamma_cell, tc_beta_cell = out.cell, tc_gamma.cell, tc_beta.cell
-        tc_gamma, tc_beta = tc_gamma.data, tc_beta.data
-        gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
+    tc_gamma_cell, tc_beta_cell = tc_gamma.cell, tc_beta.cell
+    tc_gamma, tc_beta = tc_gamma.data, tc_beta.data
+    gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
 
+    def rule(g):
         def ds_of(xhat: np.ndarray) -> np.ndarray:
             padded, s = blank()
             np.maximum(_affine(xhat, gamma, beta, out=s), 0.0, out=s)
-            dt = _relu_backward(out_cell.grad, _center(tconv(padded), mean, sigma), tc_gamma,
-                                tc_beta, scale, training, tc_gamma_cell, tc_beta_cell)
+            dt = _relu_backward(g, _center(tconv(padded), mean, sigma), tc_gamma, tc_beta,
+                                scale, training, tc_gamma_cell, tc_beta_cell)
             kernel_grad(dt, padded)
             del padded, s  # freed before input_grad makes its own padded buffer
             return input_grad(dt)
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            spatial_backward(ds_of)
+        spatial_backward(ds_of)
 
-        tape.record(rule)
-    return out
+    return _record(Tensor(np.maximum(out_data, 0.0, out=out_data)), rule)

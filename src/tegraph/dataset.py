@@ -150,13 +150,10 @@ def generate_synthetic(spec: dict) -> tuple[list[tuple[SkeletonSequence, str]], 
 
 
 def write_dataset(out_dir, labeled: list[tuple[SkeletonSequence, str]],
-                  graph: SkeletonGraph, kinds=KINDS) -> Path:
+                  graph: SkeletonGraph) -> Path:
     out_dir = Path(out_dir)
     streams_dir = out_dir / "streams"
     streams_dir.mkdir(parents=True, exist_ok=True)
-    for kind in kinds:
-        if kind not in KINDS:
-            raise ConfigError(f"unknown modality kind {kind!r}; choose from {KINDS}")
     lines = []
     seen = set()
     for seq, split in labeled:
@@ -165,7 +162,7 @@ def write_dataset(out_dir, labeled: list[tuple[SkeletonSequence, str]],
         seen.add(seq.source_id)
         streams = all_streams(seq, graph)
         files = {}
-        for kind in kinds:
+        for kind in KINDS:
             rel = f"streams/{seq.source_id}.{kind}.tegt"
             save_tensor(out_dir / rel, streams[kind].data)
             files[kind] = rel

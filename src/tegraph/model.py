@@ -153,12 +153,12 @@ class ModelConfig:
             num_classes=int(d["num_classes"]),
             num_joints=int(d["num_joints"]),
             fixed_length=int(d["fixed_length"]),
-            max_bodies=int(d.get("max_bodies", 1)),
-            heads=int(d.get("heads", 4)),
-            relevance=str(d.get("relevance", "feature-calculated")),
-            graph=str(d.get("graph", "chain")),
-            graph_center=int(d.get("graph_center", 0)),
-            seed=int(d.get("seed", 0)),
+            max_bodies=int(d["max_bodies"]),
+            heads=int(d["heads"]),
+            relevance=str(d["relevance"]),
+            graph=str(d["graph"]),
+            graph_center=int(d["graph_center"]),
+            seed=int(d["seed"]),
         )
 
 

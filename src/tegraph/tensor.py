@@ -2,10 +2,12 @@
 
 The design is deliberately small: a Tensor wraps a numpy array in the
 process-global precision (see precision.py), operations are pure functions
-that optionally record a backward rule on the active Tape, and a Tape is a
+that record a backward rule on the active Tape, if any, and a Tape is a
 plain Wengert list replayed once and consumed in strict reverse execution
 order: each rule, and every buffer only it holds, is freed as soon as it
-has run, so a tape supports a single backward pass.  There is no
+has run, so a tape supports a single backward pass.  Every op but
+`calculated_heads` (one output per head, each skipped on its own) records
+through `_record(out, rule)`.  There is no
 broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
 ops so every backward rule stays auditable.  Fused ops give each hot stage
 one record: `temporal_conv` (the windowed temporal convolution),
@@ -21,8 +23,8 @@ stage's arithmetic, forward and backward, lives only in
 bn -> ReLU backward only in `batchnorm._relu_backward`.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
-A backward rule closes over the cells it reads and writes (its output's and
-its inputs') and over exactly the arrays its formula reads, never over a
+A backward rule closes over its inputs' cells, its replay over its
+output's, and over exactly the arrays its formula reads, never over a
 Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
 `slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
 and `mul` their operands, the softmaxes their output, `batchnorm` its
@@ -63,6 +65,7 @@ zeroing) requires exclusive access.
 """
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Sequence
 
@@ -232,6 +235,27 @@ class Tape:
             records.pop()()
 
 
+def _record(out: Tensor, rule: Callable[[np.ndarray], None]) -> Tensor:
+    """Record `rule` as the backward of `out` on the active tape, if any; return `out`.
+
+    The recorded replay calls `rule(g)` with out's gradient `g` and skips it
+    when no gradient reached `out`.  It closes over out's cell, never `out`,
+    and keeps the rule's `__qualname__` (its op name, by which tests and the
+    benchmark count records).
+    """
+    tape = active_tape()
+    if tape is not None:
+        cell = out.cell
+
+        @functools.wraps(rule)
+        def replay():
+            if cell.grad is not None:
+                rule(cell.grad)
+
+        tape.record(replay)
+    return out
+
+
 def _accumulate(cell: GradCell, g: np.ndarray, fresh: bool = False) -> None:
     """Add `g` to the cell's gradient; a `fresh` first contribution is kept
     uncopied (see "Handover" in the module docstring)."""
@@ -242,9 +266,10 @@ def _accumulate(cell: GradCell, g: np.ndarray, fresh: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Differentiable operations.  Each returns a fresh Tensor and, when a tape is
-# active, records a single backward rule.  OP_NAMES is the registry the
-# gradient-check suite iterates over.
+# Differentiable operations.  Each but `calculated_heads` computes a fresh
+# Tensor `out`, defines `rule(g)` for out's gradient g and returns
+# `_record(out, rule)`.  OP_NAMES is the registry the gradient-check suite
+# iterates over.
 
 OP_NAMES = [
     "matmul",
@@ -278,19 +303,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} and {b.shape}")
     out = Tensor(a.data @ b.data)
     _check_finite(out.data, "matmul")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
-        a_data, b_data = a.data, b.data
+    a_cell, b_cell, a_data, b_data = a.cell, b.cell, a.data, b.data
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad @ b_data.T, fresh=True)
-            _accumulate(b_cell, a_data.T @ out_cell.grad, fresh=True)
+    def rule(g):
+        _accumulate(a_cell, g @ b_data.T, fresh=True)
+        _accumulate(b_cell, a_data.T @ g, fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def _softmax(m: np.ndarray) -> np.ndarray:
@@ -308,17 +327,12 @@ def softmax_rows(m: Tensor) -> Tensor:
         raise ShapeError(f"softmax_rows expects a 2-D tensor, got {m.shape}")
     out = Tensor(_softmax(m.data))
     _check_finite(out.data, "softmax_rows")
-    tape = active_tape()
-    if tape is not None:
-        m_cell, out_cell, s = m.cell, out.cell, out.data
+    m_cell, s = m.cell, out.data
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(m_cell, _softmax_grad(s, out_cell.grad), fresh=True)
+    def rule(g):
+        _accumulate(m_cell, _softmax_grad(s, g), fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def log_softmax_rows(m: Tensor) -> Tensor:
@@ -328,18 +342,12 @@ def log_softmax_rows(m: Tensor) -> Tensor:
     log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     out = Tensor(shifted - log_z)
     _check_finite(out.data, "log_softmax_rows")
-    tape = active_tape()
-    if tape is not None:
-        m_cell, out_cell, log_soft = m.cell, out.cell, out.data
+    m_cell, log_soft = m.cell, out.data
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            g = out_cell.grad
-            _accumulate(m_cell, g - np.exp(log_soft) * g.sum(axis=1, keepdims=True))
+    def rule(g):
+        _accumulate(m_cell, g - np.exp(log_soft) * g.sum(axis=1, keepdims=True))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -351,87 +359,60 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "add")
     out = Tensor(a.data + b.data)
     _check_finite(out.data, "add")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
+    a_cell, b_cell = a.cell, b.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad)
-            _accumulate(b_cell, out_cell.grad)
+    def rule(g):
+        _accumulate(a_cell, g)
+        _accumulate(b_cell, g)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "sub")
     out = Tensor(a.data - b.data)
     _check_finite(out.data, "sub")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
+    a_cell, b_cell = a.cell, b.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad)
-            _accumulate(b_cell, -out_cell.grad)
+    def rule(g):
+        _accumulate(a_cell, g)
+        _accumulate(b_cell, -g)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_same_shape(a, b, "mul")
     out = Tensor(a.data * b.data)
     _check_finite(out.data, "mul")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, b_cell, out_cell = a.cell, b.cell, out.cell
-        a_data, b_data = a.data, b.data
+    a_cell, b_cell, a_data, b_data = a.cell, b.cell, a.data, b.data
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad * b_data, fresh=True)
-            _accumulate(b_cell, out_cell.grad * a_data, fresh=True)
+    def rule(g):
+        _accumulate(a_cell, g * b_data, fresh=True)
+        _accumulate(b_cell, g * a_data, fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     out = Tensor(a.data * s)
     _check_finite(out.data, "scale")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell = a.cell, out.cell
+    a_cell = a.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad * s, fresh=True)
+    def rule(g):
+        _accumulate(a_cell, g * s, fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell = a.cell, out.cell
-        mask = a.data > 0  # non-positive inputs get zero gradient
+    a_cell, mask = a.cell, a.data > 0  # non-positive inputs get zero gradient
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad * mask, fresh=True)
+    def rule(g):
+        _accumulate(a_cell, g * mask, fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -439,17 +420,12 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     if int(np.prod(shape, dtype=np.int64)) != a.size:
         raise ShapeError(f"reshape: cannot view {a.shape} as {shape}")
     out = Tensor(a.data.reshape(shape))
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell, original = a.cell, out.cell, a.shape
+    a_cell, original = a.cell, a.shape
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad.reshape(original))
+    def rule(g):
+        _accumulate(a_cell, g.reshape(original))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -457,18 +433,12 @@ def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
     if sorted(axes) != list(range(a.data.ndim)):
         raise ShapeError(f"permute: {axes} is not a permutation of {a.data.ndim} axes")
     out = Tensor(np.ascontiguousarray(a.data.transpose(axes)))
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell = a.cell, out.cell
-        inverse = tuple(np.argsort(axes))
+    a_cell, inverse = a.cell, tuple(np.argsort(axes))
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad.transpose(inverse))
+    def rule(g):
+        _accumulate(a_cell, g.transpose(inverse))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
@@ -477,20 +447,15 @@ def pad_axis(a: Tensor, axis: int, before: int, after: int) -> Tensor:
     widths = [(0, 0)] * a.data.ndim
     widths[axis] = (before, after)
     out = Tensor(np.pad(a.data, widths))
-    tape = active_tape()
-    if tape is not None:
-        index = [slice(None)] * a.data.ndim
-        index[axis] = slice(before, before + a.shape[axis])
-        index = tuple(index)
-        a_cell, out_cell = a.cell, out.cell
+    index = [slice(None)] * a.data.ndim
+    index[axis] = slice(before, before + a.shape[axis])
+    index = tuple(index)
+    a_cell = a.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, out_cell.grad[index])
+    def rule(g):
+        _accumulate(a_cell, g[index])
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Tensor:
@@ -500,20 +465,14 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int, step: int = 1) -> Te
     index[axis] = slice(start, stop, step)
     index = tuple(index)
     out = Tensor(np.ascontiguousarray(a.data[index]))
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell = a.cell, out.cell
-        shape, dtype = a.shape, a.data.dtype
+    a_cell, shape, dtype = a.cell, a.shape, a.data.dtype
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            g = np.zeros(shape, dtype)
-            g[index] = out_cell.grad
-            _accumulate(a_cell, g)
+    def rule(g):
+        d_a = np.zeros(shape, dtype)
+        d_a[index] = g
+        _accumulate(a_cell, d_a)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def _temporal(shape: tuple, kernel: Tensor, stride: int, pad: int):
@@ -589,31 +548,29 @@ def temporal_conv(x: Tensor, kernel: Tensor, stride: int, pad: int) -> Tensor:
     kernel[:, :, k], and the taps are summed in order k = 0..K-1.  With
     stride 1 a tap is a strided view of the padded input that BLAS reads in
     place, with the same bits as a contiguous copy; larger strides copy it.
-    The backward rule re-pads `x` and rebuilds the taps instead of keeping
+    With `pad` 0 the taps read `x` itself, never a padded copy.  The
+    backward rule rebuilds the padded input and the taps instead of keeping
     them.
     """
     blank, conv, kernel_grad, input_grad = _temporal(x.data.shape, kernel, stride, pad)
     x_data = x.data
 
     def padded() -> np.ndarray:
+        if pad == 0:
+            return x_data
         buffer, interior = blank()
         interior[...] = x_data
         return buffer
 
     out = Tensor(conv(padded()))
     _check_finite(out.data, "temporal_conv")
-    tape = active_tape()
-    if tape is not None:
-        x_cell, out_cell = x.cell, out.cell
+    x_cell = x.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            kernel_grad(out_cell.grad, padded())  # the padded copy is freed here
-            _accumulate(x_cell, input_grad(out_cell.grad), fresh=True)
+    def rule(g):
+        kernel_grad(g, padded())  # a padded copy, if any, is freed here
+        _accumulate(x_cell, input_grad(g), fresh=True)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def _check_stack(op: str, operands: Sequence[Tensor], shape: tuple, what: str) -> None:
@@ -626,11 +583,12 @@ def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np
                    masks: Sequence[Tensor]):
     """Check a spatial graph conv of `x` and return its arithmetic as closures.
 
-    `channel_map(k)` is W_k @ x as (C_out T, J); `conv(map_of)` is the
-    (C_out, T, J) output sum_k map_of(k) @ A_k^T over k = 0..K-1, A_k = P_k * M_k;
-    `backward(g, map_of)` sends the output gradient `g` on to mask k
-    (dA_k * P_k), weight k and x, k = K-1..0.  The closures hold x, the
-    weights, the partitions and the gates, never a Tensor.
+    `conv()` is the (C_out, T, J) output sum_k (W_k @ x) @ A_k^T over
+    k = 0..K-1, A_k = P_k * M_k, with the channel map W_k @ x laid out as
+    (C_out T, J); `backward(g)` sends the output gradient `g` on to mask k
+    (dA_k * P_k), weight k and x, k = K-1..0, rebuilding each channel map
+    as it reaches it.  The closures hold x, the weights, the partitions and
+    the gates, never a Tensor.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"spatial_graph_conv expects a 3-D input, got {x.shape}")
@@ -656,22 +614,22 @@ def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np
     def mixer(k: int) -> np.ndarray:
         return np.ascontiguousarray(a_data[k].T)
 
-    def conv(map_of) -> np.ndarray:
-        acc = map_of(0) @ mixer(0)
+    def conv() -> np.ndarray:
+        acc = channel_map(0) @ mixer(0)
         for k in range(1, len(w_data)):
-            acc += map_of(k) @ mixer(k)
+            acc += channel_map(k) @ mixer(k)
         return acc.reshape(c_out, frames, joints)
 
-    def backward(g: np.ndarray, map_of) -> None:
+    def backward(g: np.ndarray) -> None:
         g = g.reshape(c_out * frames, joints)
         for k in reversed(range(len(w_data))):
-            _accumulate(m_cells[k], (map_of(k).T @ g).T * p_data[k], fresh=True)
+            _accumulate(m_cells[k], (channel_map(k).T @ g).T * p_data[k], fresh=True)
             d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
             _accumulate(w_cells[k], d_map @ flat.T)
             _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
                         fresh=True)
 
-    return channel_map, conv, backward
+    return conv, backward
 
 
 def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
@@ -687,20 +645,14 @@ def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequenc
     The backward rule recomputes each channel map and sends mask k its
     gradient dA_k * P_k and x its input gradient, k = K-1..0.
     """
-    channel_map, conv, backward = _spatial_graph(x, weights, partitions, masks)
-    out = Tensor(conv(channel_map))
+    conv, backward = _spatial_graph(x, weights, partitions, masks)
+    out = Tensor(conv())
     _check_finite(out.data, "spatial_graph_conv")
-    tape = active_tape()
-    if tape is not None:
-        out_cell = out.cell
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            backward(out_cell.grad, channel_map)
+    def rule(g):
+        backward(g)
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def calculated_heads(f: Tensor, w_a: Sequence[Tensor], w_b: Sequence[Tensor]) -> list[Tensor]:
@@ -803,65 +755,50 @@ def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
         acc += w_data[n] @ mixed(n, tm)
     out = Tensor(acc.reshape(c, frames, joints))
     _check_finite(out.data, "temporal_graph_mix")
-    tape = active_tape()
-    if tape is not None:
-        x_cell, out_cell = x.cell, out.cell
-        a_cells = [a.cell for a in adjacencies]
-        w_cells = [w.cell for w in weights]
+    x_cell = x.cell
+    a_cells = [a.cell for a in adjacencies]
+    w_cells = [w.cell for w in weights]
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            g = out_cell.grad.reshape(c, frames * joints)
-            tm = time_major()
-            d_tm = None
-            for n in reversed(range(len(w_data))):
-                _accumulate(w_cells[n], g @ mixed(n, tm).T)
-                d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
-                    1, 0, 2).reshape(frames, c * joints)
-                _accumulate(a_cells[n], d_mixed @ tm.T)
-                term = a_data[n].T @ d_mixed
-                if d_tm is None:
-                    d_tm = term
-                else:
-                    d_tm += term
-                del d_mixed, term  # freed before the next head allocates
-            _accumulate(x_cell, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
+    def rule(g):
+        g = g.reshape(c, frames * joints)
+        tm = time_major()
+        d_tm = None
+        for n in reversed(range(len(w_data))):
+            _accumulate(w_cells[n], g @ mixed(n, tm).T)
+            d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
+                1, 0, 2).reshape(frames, c * joints)
+            _accumulate(a_cells[n], d_mixed @ tm.T)
+            term = a_data[n].T @ d_mixed
+            if d_tm is None:
+                d_tm = term
+            else:
+                d_tm += term
+            del d_mixed, term  # freed before the next head allocates
+        _accumulate(x_cell, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
     _check_finite(out.data, "sum_all")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell, shape = a.cell, out.cell, a.shape
+    a_cell, shape = a.cell, a.shape
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, np.broadcast_to(out_cell.grad, shape))
+    def rule(g):
+        _accumulate(a_cell, np.broadcast_to(g, shape))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def sum_axis(a: Tensor, axis: int) -> Tensor:
     out = Tensor(a.data.sum(axis=axis))
     _check_finite(out.data, "sum_axis")
-    tape = active_tape()
-    if tape is not None:
-        a_cell, out_cell, shape = a.cell, out.cell, a.shape
+    a_cell, shape = a.cell, a.shape
 
-        def rule():
-            if out_cell.grad is None:
-                return
-            _accumulate(a_cell, np.broadcast_to(np.expand_dims(out_cell.grad, axis), shape))
+    def rule(g):
+        _accumulate(a_cell, np.broadcast_to(np.expand_dims(g, axis), shape))
 
-        tape.record(rule)
-    return out
+    return _record(out, rule)
 
 
 def constant(data) -> Tensor:

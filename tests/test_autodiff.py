@@ -12,6 +12,7 @@ from tegraph.tensor import (
     Parameter,
     Tape,
     Tensor,
+    _record,
     active_tape,
     add,
     matmul,
@@ -96,6 +97,28 @@ def test_consumed_tape_refuses_new_records():
         tape.backward(sum_all(x))
         with pytest.raises(RuntimeError, match="replayed"):
             mul(x, x)
+
+
+def test_record_replays_the_rule_with_its_outputs_gradient():
+    seen = []
+
+    def op(x):
+        out = Tensor(x.data + 1.0)
+
+        def rule(g):
+            seen.append(g)
+
+        assert _record(out, rule) is out
+        return out
+
+    assert op(Tensor([1.0])).data[0] == 2.0  # no tape, nothing recorded
+    with Tape() as tape:
+        out = op(Tensor([1.0]))
+        op(Tensor([2.0]))  # no gradient reaches this output: its rule is skipped
+    assert [record.__qualname__ for record in tape._records] == [
+        op.__qualname__ + ".<locals>.rule"] * 2
+    tape.backward(out, seed=np.array([5.0]))
+    assert len(seen) == 1 and seen[0] is out.grad and seen[0][0] == 5.0
 
 
 def test_backward_frees_intermediate_gradients():

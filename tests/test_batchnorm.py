@@ -133,7 +133,9 @@ def reference_batchnorm(x, gamma, beta, running_mean, running_var, training, dy,
     return out, xhat, dx, (dy * xhat).sum(axis=axes), dy.sum(axis=axes)
 
 
-def closed_over(rule, name):
+def closed_over(record, name):
+    """A variable the op's own rule, beneath the recorded replay, closes over."""
+    rule = record.__wrapped__
     return dict(zip(rule.__code__.co_freevars,
                     (cell.cell_contents for cell in rule.__closure__)))[name]
 

@@ -446,7 +446,8 @@ def test_eval_malformed_checkpoint_manifest_is_data_error(dataset_dir, tmp_path,
 
 
 CONFIG = {"layers": [[3, 8, 1, "tc", 3]], "num_classes": 2, "num_joints": 5,
-          "fixed_length": 8}
+          "fixed_length": 8, "max_bodies": 1, "heads": 4, "relevance": "feature-calculated",
+          "graph": "chain", "graph_center": 0, "seed": 0}
 
 
 @pytest.mark.parametrize("extra,message", [
@@ -458,6 +459,7 @@ CONFIG = {"layers": [[3, 8, 1, "tc", 3]], "num_classes": 2, "num_joints": 5,
     ({"config": dict(CONFIG, layers=[["three", 8, 1, "tc", 3]])}, "bad checkpoint config"),
     ({"config": dict(CONFIG, layers=[[3, 8, 1, "sideways", 3]])}, "bad checkpoint config"),
     ({"config": dict(CONFIG, graph="ntu")}, "bad checkpoint config"),
+    ({"config": {k: v for k, v in CONFIG.items() if k != "heads"}}, "KeyError('heads')"),
 ])
 def test_eval_malformed_checkpoint_config_is_data_error(dataset_dir, tmp_path, capsys,
                                                         extra, message):

@@ -1,4 +1,6 @@
 """The fused temporal convolution reproduces the unfused op chain bit for bit."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,23 @@ def test_fused_op_is_bit_identical_to_the_chain(mode, c_in, c_out, frames, joint
     for name, got, expected in zip(("output", "kernel grad", "input grad"), fused, chain):
         assert got.dtype == dtype and got.shape == expected.shape, name
         assert np.array_equal(got, expected), f"{name} differs from the chain"
+
+
+def test_unpadded_conv_reads_its_input_in_place():
+    # A stride-2 residual projection of layer 5: the output is as large as
+    # the input, and the strided tap copy half of it, so the forward peaks at
+    # 1.5 inputs.  A zero-padded copy of the input on top took it to 2.5.
+    rng = np.random.default_rng(4)
+    with precision.scoped_mode("train"):
+        x = Tensor(rng.normal(size=(64, 300, 25)))
+        kernel = Tensor(rng.normal(size=(128, 64, 1)))
+        tracemalloc.start()
+        try:
+            temporal_conv(x, kernel, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} inputs"
 
 
 def test_tc_forward_records_one_op():
