@@ -6,8 +6,9 @@ learnable mask, with a per-subset 1x1 channel map:
 
     out = sum_k  W_k @ f @ (P_k * M_k)^T
 
-The gates P_k * M_k are formed inside the one `spatial_graph_conv` record,
-whose rule hands mask k its gradient dA_k * P_k.
+The gates P_k * M_k are formed inside `tensor._spatial_graph`, the
+arithmetic of the graph conv, whose backward hands mask k its gradient
+dA_k * P_k.
 
 The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
@@ -21,8 +22,8 @@ neither s nor the temporal conv output.  The spatial stage's arithmetic,
 forward and backward, lives only in `_spatial_stage`, which both fused
 records call, and every fused bn -> ReLU backward is
 `batchnorm._relu_backward`.  Both records go on the tape through
-`tensor._record`.  Oracle tests bypass bn and ReLU via
-apply_bn_relu to reach the raw linear maps.
+`tensor._record`.  Oracle tests reach the raw linear maps through
+`tensor._spatial_graph` and `temporal_conv`, the code the stages run.
 """
 from __future__ import annotations
 
@@ -39,7 +40,6 @@ from .tensor import (
     _spatial_graph,
     _temporal,
     relu,
-    spatial_graph_conv,
     temporal_conv,
 )
 
@@ -90,11 +90,15 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
     backward, which rebuilds each map again as it reaches it, so no more
     than one is alive.
     """
-    _check_input(sg, f)
+    if f.data.ndim != 3 or f.shape[0] != sg.in_channels:
+        raise ShapeError(f"{sg.identifier}: expected ({sg.in_channels}, T, J), got {f.shape}")
+    joints = sg.partitions.shape[1]
+    if f.shape[2] != joints:
+        raise ShapeError(f"{sg.identifier}: feature has {f.shape[2]} joints, graph has {joints}")
     conv, graph_backward = _spatial_graph(
         f, [w.value for w in sg.weights], sg.partitions, [mask.value for mask in sg.masks])
     conv_out = conv()
-    _check_finite(conv_out, "spatial_graph_conv")
+    _check_finite(conv_out, "spatial graph conv")
     bn = sg.bn
     gamma, beta, training = bn.gamma.value, bn.beta.value, bn.training
     out, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, bn.running_mean,
@@ -112,8 +116,8 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
 
 
 def spatial_graph_bn_relu(sg: SGBlock, f: Tensor) -> Tensor:
-    """relu(batchnorm(spatial_graph_conv(f, ...))) through `sg` as one record, bit
-    for bit: `_spatial_stage`, whose backward the rule replays."""
+    """relu(batchnorm(graph conv of f)) through `sg` as one record:
+    `_spatial_stage`, whose backward the rule replays."""
     out_data, backward = _spatial_stage(sg, f)
 
     def rule(g):
@@ -122,24 +126,8 @@ def spatial_graph_bn_relu(sg: SGBlock, f: Tensor) -> Tensor:
     return _record(Tensor(out_data), rule)
 
 
-def _check_input(block: SGBlock, f: Tensor) -> None:
-    if f.data.ndim != 3 or f.shape[0] != block.in_channels:
-        raise ShapeError(
-            f"{block.identifier}: expected ({block.in_channels}, T, J), got {f.shape}"
-        )
-    joints = block.partitions.shape[1]
-    if f.shape[2] != joints:
-        raise ShapeError(
-            f"{block.identifier}: feature has {f.shape[2]} joints, graph has {joints}"
-        )
-
-
-def sg_forward(block: SGBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
-    if apply_bn_relu:
-        return spatial_graph_bn_relu(block, f)
-    _check_input(block, f)
-    return spatial_graph_conv(f, [w.value for w in block.weights], block.partitions,
-                              [mask.value for mask in block.masks])
+def sg_forward(block: SGBlock, f: Tensor) -> Tensor:
+    return spatial_graph_bn_relu(block, f)
 
 
 class TCBlock:
@@ -174,13 +162,12 @@ def tc_output_length(frames: int, stride: int) -> int:
     return -(-frames // stride)
 
 
-def tc_forward(block: TCBlock, f: Tensor, apply_bn_relu: bool = True) -> Tensor:
+def tc_forward(block: TCBlock, f: Tensor) -> Tensor:
     if f.data.ndim != 3 or f.shape[0] != block.channels:
         raise ShapeError(
             f"{block.identifier}: expected ({block.channels}, T, J), got {f.shape}"
         )
-    out = temporal_conv(f, block.kernel.value, block.stride, block.pad)
-    return relu(block.bn(out)) if apply_bn_relu else out
+    return relu(block.bn(temporal_conv(f, block.kernel.value, block.stride, block.pad)))
 
 
 class ChannelProjection:

@@ -124,8 +124,9 @@ def parse_layer_specs(text: str) -> list[LayerSpec]:
     layers = []
     for item in text.split(","):
         fields = item.strip().split(":")
-        if len(fields) < 2:
-            raise ConfigError(f"layer spec {item!r} needs at least in:out")
+        if not 2 <= len(fields) <= 5:
+            raise ConfigError(f"layer spec {item!r} has {len(fields)} fields; expected "
+                              "in:out[:stride[:mode[:kernel]]]")
         try:
             in_c, out_c = int(fields[0]), int(fields[1])
             stride = int(fields[2]) if len(fields) > 2 else 1

@@ -185,6 +185,9 @@ def _check_record(record, where: str) -> None:
     missing = [name for name in MANIFEST_FIELDS if name not in record]
     if missing:
         raise DataError(f"{where}: manifest line lacks {', '.join(missing)}")
+    for name in ("split", "sample_id"):
+        if not isinstance(record[name], str):
+            raise DataError(f"{where}: {name} {record[name]!r} is not a string")
     label = record["label"]
     if isinstance(label, bool) or not isinstance(label, int):
         raise DataError(f"{where}: label {label!r} is not an integer")
@@ -235,5 +238,5 @@ def load_split(manifest_path, kind: str, split: str) -> list[tuple[np.ndarray, i
             data = load_tensor(base / rec["files"][kind])
         except OSError as exc:
             raise DataError(f"sample {rec['sample_id']}: cannot read its {kind} stream: {exc}")
-        out.append((data, int(rec["label"]), str(rec["sample_id"])))
+        out.append((data, int(rec["label"]), rec["sample_id"]))
     return out

@@ -28,10 +28,8 @@ from .batchnorm import batchnorm
 from .blocks import (
     SGBlock,
     TCBlock,
-    sg_forward,
     spatial_graph_bn_relu,
     spatial_temporal_stage,
-    tc_forward,
     tc_output_length,
 )
 from .errors import NumericError
@@ -40,6 +38,7 @@ from .tensor import (
     Parameter,
     Tape,
     Tensor,
+    _spatial_graph,
     add,
     calculated_heads,
     matmul,
@@ -52,7 +51,6 @@ from .tensor import (
     slice_axis,
     softmax_rows,
     log_softmax_rows,
-    spatial_graph_conv,
     sub,
     sum_all,
     sum_axis,
@@ -292,8 +290,11 @@ def _check_spatial_stage(rng, strides):
             return batchnorm(t, block.bn.gamma.value, block.bn.beta.value, np.zeros(2),
                              np.ones(2), True)
 
-        s = bn(sg_forward(sg, x, apply_bn_relu=False), sg)
-        ts = [bn(tc_forward(tc, relu(s), apply_bn_relu=False), tc) for tc in tcs]
+        conv, _ = _spatial_graph(x, [w.value for w in sg.weights], sg.partitions,
+                                 [m.value for m in sg.masks])
+        s = bn(Tensor(conv()), sg)
+        ts = [bn(temporal_conv(relu(s), tc.kernel.value, tc.stride, tc.pad), tc)
+              for tc in tcs]
         return Tensor(np.concatenate([t.data.ravel() for t in (s, *ts)]))
 
     (x,) = _away_from_the_kink(rng, draw, pre_relu)
@@ -330,17 +331,6 @@ def _check_temporal_conv(rng):
                                                                        ("kernel", kernel)]
 
 
-def _check_spatial_graph_conv(rng):
-    x = Tensor(rng.normal(size=(3, 4, 5)))
-    weights = [Tensor(rng.normal(size=(2, 3))) for _ in range(3)]
-    partitions = rng.normal(size=(3, 5, 5))
-    masks = [Tensor(rng.normal(size=(5, 5))) for _ in range(3)]
-    w = Tensor(rng.normal(size=(2, 4, 5)))
-    wrt = [("x", x), *((f"w{k}", t) for k, t in enumerate(weights)),
-           *((f"m{k}", t) for k, t in enumerate(masks))]
-    return (lambda: sum_all(mul(spatial_graph_conv(x, weights, partitions, masks), w))), wrt
-
-
 def _check_temporal_graph_mix(rng):
     x = Tensor(rng.normal(size=(3, 5, 2)))
     adjacencies = [Tensor(rng.normal(size=(5, 5))) for _ in range(2)]
@@ -368,7 +358,6 @@ OP_CHECKS = {
     "sum_axis": _check_sum_axis,
     "batchnorm": _check_batchnorm,
     "temporal_conv": _check_temporal_conv,
-    "spatial_graph_conv": _check_spatial_graph_conv,
     "spatial_graph_bn_relu": lambda rng: _check_spatial_stage(rng, ()),
     "spatial_temporal_stage": lambda rng: _check_spatial_stage(rng, (1, 2)),
     "calculated_heads": _check_calculated_heads,

@@ -91,11 +91,6 @@ class RelevanceHead:
             return [self.w_a, self.w_b]
         return [self.c_conv, self.j_conv, self.t_conv, self.t_bias]
 
-    def __call__(self, f: Tensor) -> Tensor:
-        if self.kind == "feature-calculated":
-            return feature_calculated(self, f)
-        return feature_learned(self, f)
-
 
 def _check_feature(head: RelevanceHead, f: Tensor) -> tuple[int, int, int]:
     if f.data.ndim != 3:
@@ -109,18 +104,6 @@ def _check_feature(head: RelevanceHead, f: Tensor) -> tuple[int, int, int]:
             f"T={head.frames}, J={head.joints}"
         )
     return c, t, j
-
-
-def feature_calculated(head: RelevanceHead, f: Tensor) -> Tensor:
-    """Raw scores r = (W_a f)^T (W_b f), contracted over channel and joint."""
-    c, t, j = _check_feature(head, f)
-    reduced = c // CHANNEL_REDUCTION
-    flat = reshape(f, (c, t * j))
-    a = reshape(matmul(head.w_a.value, flat), (reduced, t, j))
-    b = reshape(matmul(head.w_b.value, flat), (reduced, t, j))
-    a_rows = reshape(permute(a, (1, 0, 2)), (t, reduced * j))
-    b_cols = reshape(permute(b, (0, 2, 1)), (reduced * j, t))
-    return matmul(a_rows, b_cols)
 
 
 def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
@@ -169,12 +152,13 @@ class MultiHeadTemporalConv:
 def build_heads(mhc: MultiHeadTemporalConv, f: Tensor) -> list[Tensor]:
     """One row-stochastic temporal adjacency per head, in head order.
 
-    Feature-calculated heads are one `calculated_heads` record per layer,
-    bit-identical to normalizing each head's `feature_calculated` scores.
+    Feature-learned heads each normalize their `feature_learned` scores.
+    Feature-calculated heads are one `calculated_heads` record per layer:
+    the row softmax of (W_a f)^T (W_b f), contracted over channel and joint.
     """
     heads = mhc.heads
     if heads[0].kind == "feature-learned":
-        return [normalize(head(f)) for head in heads]
+        return [normalize(feature_learned(head, f)) for head in heads]
     _check_feature(heads[0], f)
     return calculated_heads(f, [head.w_a.value for head in heads],
                             [head.w_b.value for head in heads])

@@ -11,16 +11,16 @@ through `_record(out, rule)`.  There is no
 broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
 ops so every backward rule stays auditable.  Fused ops give each hot stage
 one record: `temporal_conv` (the windowed temporal convolution),
-`spatial_graph_conv` (the partitioned joint mixing), `calculated_heads`
-(every feature-calculated relevance head of a layer, softmax included) and
-`temporal_graph_mix` (the multi-head frame mixing) here, and
-`spatial_graph_bn_relu` (the whole spatial stage) and
+`calculated_heads` (every feature-calculated relevance head of a layer,
+softmax included) and `temporal_graph_mix` (the multi-head frame mixing)
+here, and `spatial_graph_bn_relu` (the whole spatial stage) and
 `spatial_temporal_stage` (a tc layer's spatial and temporal stages) in
 blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
-for bit and recomputes what its rule needs from its inputs.  The spatial
-stage's arithmetic, forward and backward, lives only in
-`blocks._spatial_stage`, which both blocks.py records call, and their
-bn -> ReLU backward only in `batchnorm._relu_backward`.
+for bit and recomputes what its rule needs from its inputs.  The
+partitioned joint mixing is no record of its own: `_spatial_graph` holds
+its arithmetic, forward and backward, and `blocks._spatial_stage` runs it
+inside both blocks.py records, whose bn -> ReLU backward lives only in
+`batchnorm._relu_backward`.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
 A backward rule closes over its inputs' cells, its replay over its
@@ -28,18 +28,18 @@ output's, and over exactly the arrays its formula reads, never over a
 Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
 `slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
 and `mul` their operands, the softmaxes their output, `batchnorm` its
-normalized input, and the fused ops their inputs (the gates P_k * M_k for
-`spatial_graph_conv`'s masks).  The fused ops that end in a nonlinearity
-keep less than the chain did: `calculated_heads` keeps f, the projections
-and its adjacencies, never the score operands; the spatial stage
-(`blocks._spatial_stage`) keeps the layer input, the gates and the
-per-channel mean, sigma and scale, and rebuilds the conv output, xhat and
-the mask one channel map at a time; `spatial_temporal_stage` keeps the
-same plus the temporal kernel and statistics, never the spatial output s
-or the temporal xhat: its rule rebuilds s straight into the zero-padded
-buffer the kernel-gradient taps read and runs the temporal conv on it
-again.  A temporal conv's backward takes the kernel gradient first and
-frees the padded input before the input gradient's padded buffer is made.
+normalized input, and `temporal_conv` and `temporal_graph_mix` their
+inputs.  The fused ops that end in a nonlinearity keep less than the chain
+did: `calculated_heads` keeps f, the projections and its adjacencies,
+never the score operands; the spatial stage (`blocks._spatial_stage`)
+keeps the layer input, the gates P_k * M_k and the per-channel mean,
+sigma and scale, and rebuilds the conv output, xhat and the mask one
+channel map at a time; `spatial_temporal_stage` keeps the same plus the
+temporal kernel and statistics, never the spatial output s or the
+temporal xhat: its rule rebuilds s straight into the zero-padded buffer
+the kernel-gradient taps read and runs the temporal conv on it again.  A
+temporal conv's backward takes the kernel gradient first and frees the
+padded input before the input gradient's padded buffer is made.
 Every other intermediate is freed as soon as the forward pass drops it,
 while the tape is still live.
 
@@ -48,11 +48,11 @@ write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
 to the cell as they are (`_accumulate(..., fresh=True)`): the results of
 `matmul`, `mul`, `scale`, `relu`, `softmax_rows` and the batchnorms, the
-input and mask gradients of `spatial_graph_conv` and of the two spatial
-stages, the input and projection gradients of `calculated_heads` and the
-input-gradient slice of `temporal_conv`.  `add`, `sub`, `reshape`,
-`permute`, the slices and the sums pass on views of their output's
-gradient or `broadcast_to` views, so they keep copying.
+input and mask gradients of the two spatial stages, the input and
+projection gradients of `calculated_heads` and the input-gradient slice of
+`temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
+sums pass on views of their output's gradient or `broadcast_to` views, so
+they keep copying.
 
 Concurrency: training runs on the calling thread; only evaluation
 (`training.predict_logits`) forwards samples on worker threads, which
@@ -288,7 +288,6 @@ OP_NAMES = [
     "sum_axis",
     "batchnorm",
     "temporal_conv",
-    "spatial_graph_conv",
     "spatial_graph_bn_relu",
     "spatial_temporal_stage",
     "calculated_heads",
@@ -583,24 +582,28 @@ def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np
                    masks: Sequence[Tensor]):
     """Check a spatial graph conv of `x` and return its arithmetic as closures.
 
+    weights[k] is (C_out, C_in); partitions[k] (cast to the current
+    precision) and masks[k] are (J, J) and destination-major: output joint
+    i takes sum_j A_k[i, j] x[..., j] for the gate A_k = P_k * M_k.
     `conv()` is the (C_out, T, J) output sum_k (W_k @ x) @ A_k^T over
-    k = 0..K-1, A_k = P_k * M_k, with the channel map W_k @ x laid out as
-    (C_out T, J); `backward(g)` sends the output gradient `g` on to mask k
-    (dA_k * P_k), weight k and x, k = K-1..0, rebuilding each channel map
-    as it reaches it.  The closures hold x, the weights, the partitions and
-    the gates, never a Tensor.
+    k = 0..K-1, the channel map as (C_out T, J) times a contiguous copy of
+    A_k^T, bit for bit the unfused mul/reshape/matmul/permute/add chain;
+    `backward(g)` sends the output gradient `g` on to mask k (dA_k * P_k),
+    weight k and x, k = K-1..0, rebuilding each channel map as it reaches
+    it.  The closures hold x, the weights, the partitions and the gates,
+    never a Tensor.
     """
     if x.data.ndim != 3:
-        raise ShapeError(f"spatial_graph_conv expects a 3-D input, got {x.shape}")
+        raise ShapeError(f"spatial graph conv expects a 3-D input, got {x.shape}")
     if not weights or not len(weights) == len(partitions) == len(masks):
-        raise ShapeError(f"spatial_graph_conv: {len(weights)} weights for "
+        raise ShapeError(f"spatial graph conv: {len(weights)} weights for "
                          f"{len(partitions)} partitions and {len(masks)} masks")
     c_in, frames, joints = x.shape
     c_out = weights[0].shape[0]
-    _check_stack("spatial_graph_conv", weights, (c_out, c_in), "weight")
-    _check_stack("spatial_graph_conv", masks, (joints, joints), "mask")
+    _check_stack("spatial graph conv", weights, (c_out, c_in), "weight")
+    _check_stack("spatial graph conv", masks, (joints, joints), "mask")
     p_data = [np.asarray(p, dtype=precision.dtype()) for p in partitions]
-    _check_stack("spatial_graph_conv", p_data, (joints, joints), "partition")
+    _check_stack("spatial graph conv", p_data, (joints, joints), "partition")
     flat = x.data.reshape(c_in, frames * joints)
     w_data = [w.data for w in weights]
     a_data = [p * m.data for p, m in zip(p_data, masks)]
@@ -630,29 +633,6 @@ def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np
                         fresh=True)
 
     return conv, backward
-
-
-def spatial_graph_conv(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
-                       masks: Sequence[Tensor]) -> Tensor:
-    """(C_in, T, J) -> (C_out, T, J): sum_k (W_k @ x) mixed along J by P_k * M_k.
-
-    weights[k] is (C_out, C_in); partitions[k] (cast to the current precision)
-    and masks[k] are (J, J) and destination-major: with the gate
-    A_k = P_k * M_k, output joint i takes sum_j A_k[i, j] x[..., j].  The
-    arithmetic is exactly that of the unfused mul/reshape/matmul/permute/add
-    chain: subset k is the 1x1 channel map W_k @ x as (C_out T, J) times a
-    contiguous copy of A_k^T, and the subsets are summed in order k = 0..K-1.
-    The backward rule recomputes each channel map and sends mask k its
-    gradient dA_k * P_k and x its input gradient, k = K-1..0.
-    """
-    conv, backward = _spatial_graph(x, weights, partitions, masks)
-    out = Tensor(conv())
-    _check_finite(out.data, "spatial_graph_conv")
-
-    def rule(g):
-        backward(g)
-
-    return _record(out, rule)
 
 
 def calculated_heads(f: Tensor, w_a: Sequence[Tensor], w_b: Sequence[Tensor]) -> list[Tensor]:

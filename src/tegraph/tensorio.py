@@ -25,7 +25,6 @@ from .errors import DataError
 
 MAGIC = b"TEGT"
 _FLAG_TO_DTYPE = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
-_KIND_TO_FLAG = {"float32": 0, "float64": 1}
 _MAX_RANK = 8
 
 

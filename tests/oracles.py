@@ -21,7 +21,6 @@ from tegraph.tensor import (
     reshape,
     slice_axis,
     softmax_rows,
-    spatial_graph_conv,
 )
 
 
@@ -205,10 +204,10 @@ def chain_batchnorm_relu(x, gamma, beta, running_mean, running_var, training):
 
 
 def chain_spatial_graph_bn_relu(sg, x):
-    """The graph conv, batchnorm and relu records sg_forward used to make."""
+    """The graph conv, batchnorm and relu chain sg_forward used to record."""
     bn = sg.bn
-    out = spatial_graph_conv(x, [w.value for w in sg.weights], sg.partitions,
-                             [mask.value for mask in sg.masks])
+    out = chain_spatial_graph_conv(x, [w.value for w in sg.weights], sg.partitions,
+                                   [mask.value for mask in sg.masks])
     return chain_batchnorm_relu(out, bn.gamma.value, bn.beta.value, bn.running_mean,
                                 bn.running_var, bn.training)
 

@@ -16,10 +16,11 @@ from oracles import (
     format_skeleton,
     permute_joints,
     sg_oracle,
+    softmax_rows_oracle,
     tc_oracle,
     temporal_graph_conv_oracle,
 )
-from tegraph.blocks import SGBlock, TCBlock, sg_forward, tc_forward
+from tegraph.blocks import SGBlock, TCBlock
 from tegraph.cli import main
 from tegraph.dataset import generate_synthetic, write_dataset
 from tegraph.gradcheck import OP_NAMES, check_all_ops, grad_check
@@ -45,12 +46,11 @@ from tegraph.temporal import (
     MultiHeadTemporalConv,
     RelevanceHead,
     build_heads,
-    feature_calculated,
     feature_learned,
     normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor
+from tegraph.tensor import Tensor, _spatial_graph, calculated_heads, temporal_conv
 from tegraph.training import TrainConfig, lr_at, softmax_distribution, train
 
 
@@ -83,7 +83,9 @@ def randomize(params, rng, spread=1.0):
 
 
 def test_criterion_1_oracle_equivalence():
-    """Vectorized forwards match scalar brute force on 50 random instances each."""
+    """The forwards the model runs match scalar brute force on 50 random
+    instances each: the spatial stages' graph conv, the temporal conv that
+    tc_forward and the residual projections record, and each head kind."""
     with criterion(1, "oracle equivalence at 1e-10 on 5 x 50 instances", budget=10.0):
         rng = np.random.default_rng(101)
 
@@ -94,7 +96,9 @@ def test_criterion_1_oracle_equivalence():
             block = SGBlock(c_in, c_out, normalized_partitions(graph), f"a1.sg{i}")
             randomize(block.weights + block.masks, rng)
             f = rng.normal(size=(c_in, t, j))
-            got = sg_forward(block, Tensor(f), apply_bn_relu=False).data
+            conv, _ = _spatial_graph(Tensor(f), [w.value for w in block.weights],
+                                     block.partitions, [m.value for m in block.masks])
+            got = conv()
             want = sg_oracle([w.value.data for w in block.weights],
                              [m.value.data for m in block.masks],
                              block.partitions, f)
@@ -108,7 +112,7 @@ def test_criterion_1_oracle_equivalence():
             block = TCBlock(c, kernel_t, stride, f"a1.tc{i}")
             randomize([block.kernel], rng)
             f = rng.normal(size=(c, t, j))
-            got = tc_forward(block, Tensor(f), apply_bn_relu=False).data
+            got = temporal_conv(Tensor(f), block.kernel.value, block.stride, block.pad).data
             want = tc_oracle(block.kernel.value.data, f, stride)
             assert np.abs(got - want).max() <= 1e-10
 
@@ -117,9 +121,9 @@ def test_criterion_1_oracle_equivalence():
             head = RelevanceHead("feature-calculated", 4, t, j, f"a1.fc{i}")
             randomize(head.parameters(), rng)
             f = rng.normal(size=(4, t, j))
-            got = feature_calculated(head, Tensor(f)).data
-            want = feature_calculated_oracle(head.w_a.value.data,
-                                             head.w_b.value.data, f)
+            got = calculated_heads(Tensor(f), [head.w_a.value], [head.w_b.value])[0].data
+            want = softmax_rows_oracle(feature_calculated_oracle(head.w_a.value.data,
+                                                                 head.w_b.value.data, f))
             assert np.abs(got - want).max() <= 1e-10
 
         for i in range(50):

@@ -13,7 +13,7 @@ from tegraph.blocks import (
 )
 from tegraph.errors import ConfigError, ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
-from tegraph.tensor import Tensor
+from tegraph.tensor import Tensor, _spatial_graph, temporal_conv
 
 
 def make_sg(c_in, c_out, joints, seed=0, center=0):
@@ -22,7 +22,15 @@ def make_sg(c_in, c_out, joints, seed=0, center=0):
 
 
 def raw_sg(block, f):
-    return sg_forward(block, Tensor(f), apply_bn_relu=False).data
+    """The graph conv the spatial stage runs before its bn and ReLU."""
+    conv, _ = _spatial_graph(Tensor(f), [w.value for w in block.weights], block.partitions,
+                             [m.value for m in block.masks])
+    return conv()
+
+
+def raw_tc(block, f):
+    """The temporal conv tc_forward records before its bn and ReLU."""
+    return temporal_conv(Tensor(f), block.kernel.value, block.stride, block.pad).data
 
 
 def test_sg_matches_scalar_loops_on_random_instances():
@@ -85,8 +93,7 @@ def test_sg_bn_relu_path_is_nonnegative_and_matches_composition():
     f = Tensor(np.random.default_rng(5).normal(size=(2, 6, 4)))
     full = sg_forward(block, f)
     assert np.all(full.data >= 0)
-    raw = sg_forward(block, f, apply_bn_relu=False)
-    recomposed = np.maximum(block.bn(raw).data, 0.0)
+    recomposed = np.maximum(block.bn(Tensor(raw_sg(block, f.data))).data, 0.0)
     np.testing.assert_array_equal(full.data, recomposed)
 
 
@@ -118,8 +125,8 @@ def test_joint_permutation_equivariance_of_sg():
         mask_a.assign(dense)
         mask_b.assign(p @ dense @ p.T)
     f = rng.normal(size=(2, 4, joints))
-    out_a = sg_forward(a, Tensor(f), apply_bn_relu=False).data
-    out_b = sg_forward(b, Tensor(f @ p.T), apply_bn_relu=False).data
+    out_a = raw_sg(a, f)
+    out_b = raw_sg(b, f @ p.T)
     np.testing.assert_allclose(out_b, out_a @ p.T, rtol=0, atol=1e-9)
 
 
@@ -144,7 +151,7 @@ def test_tc_matches_scalar_loops_on_random_instances():
         stride = int(rng.choice([1, 2]))
         block = TCBlock(channels, kernel_t, stride, "t.tc", seed=trial)
         f = rng.normal(size=(channels, frames, joints))
-        got = tc_forward(block, Tensor(f), apply_bn_relu=False).data
+        got = raw_tc(block, f)
         expected = tc_oracle(block.kernel.value.data, f, stride)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
@@ -153,7 +160,7 @@ def test_tc_kernel_one_is_a_channel_map():
     block = TCBlock(2, 1, 1, "t.tc", seed=1)
     rng = np.random.default_rng(8)
     f = rng.normal(size=(2, 5, 3))
-    got = tc_forward(block, Tensor(f), apply_bn_relu=False).data
+    got = raw_tc(block, f)
     w = block.kernel.value.data[:, :, 0]
     np.testing.assert_allclose(got, np.einsum("oc,ctj->otj", w, f), rtol=0, atol=1e-12)
 
@@ -161,7 +168,7 @@ def test_tc_kernel_one_is_a_channel_map():
 def test_tc_interior_of_constant_input_sums_kernel():
     block = TCBlock(1, 3, 1, "t.tc", seed=2)
     f = np.full((1, 6, 2), 2.0)
-    got = tc_forward(block, Tensor(f), apply_bn_relu=False).data
+    got = raw_tc(block, f)
     total = block.kernel.value.data.sum()
     np.testing.assert_allclose(got[0, 1:-1], 2.0 * total, rtol=0, atol=1e-12)
 
@@ -170,7 +177,7 @@ def test_tc_stride_two_output_positions():
     block = TCBlock(1, 1, 2, "t.tc", seed=3)
     block.kernel.assign(np.ones((1, 1, 1)))
     f = np.arange(7.0)[None, :, None]
-    got = tc_forward(block, Tensor(f), apply_bn_relu=False).data
+    got = raw_tc(block, f)
     np.testing.assert_array_equal(got[0, :, 0], [0.0, 2.0, 4.0, 6.0])
 
 

@@ -127,6 +127,8 @@ def test_parse_layer_specs_variants():
         parse_layer_specs("a:b")
     with pytest.raises(ConfigError, match="temporal mode"):
         parse_layer_specs("3:4:1:conv")
+    with pytest.raises(ConfigError, match="'3:8:1:tc:3:junk' has 6 fields"):
+        parse_layer_specs("3:64,3:8:1:tc:3:junk")
 
 
 def test_model_config_from_custom_layers():
@@ -547,6 +549,10 @@ def test_train_and_eval_log_the_blas_and_worker_count(trained_dir, dataset_dir, 
      "line 1: manifest line lacks split"),
     ('["train", 0]', "line 1: manifest line is not a JSON object"),
     ('{"split": "train", "files": {}}', "line 1: manifest line lacks label, sample_id"),
+    ('{"split": 1, "label": 0, "sample_id": "a", "files": {}}',
+     "line 1: split 1 is not a string"),
+    ('{"split": "train", "label": 0, "sample_id": null, "files": {}}',
+     "line 1: sample_id None is not a string"),
     ('{"split": "train", "label": "x", "sample_id": "a", "files": {}}',
      "line 1: label 'x' is not an integer"),
     ('{"split": "train", "label": -1, "sample_id": "a", "files": {}}',

@@ -1,7 +1,8 @@
-"""The fused graph convolutions reproduce the unfused op chains bit for bit.
+"""The graph convolutions reproduce the unfused op chains bit for bit.
 
-The fused stages around them (relevance heads, the whole spatial stage and
-a tc layer's spatial-temporal stage) are tested in test_fused_stages.py.
+The spatial graph conv is the arithmetic `tensor._spatial_graph` hands both
+spatial-stage records; those stages and the relevance heads are tested in
+test_fused_stages.py.
 """
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
 from tegraph.model import LayerSpec, ModelConfig, Network, backbone_config
 from tegraph.temporal import MultiHeadTemporalConv, temporal_graph_conv
-from tegraph.tensor import OP_NAMES, Tape, Tensor, spatial_graph_conv, temporal_graph_mix
+from tegraph.tensor import OP_NAMES, Tape, Tensor, _spatial_graph, temporal_graph_mix
 
 
 def run(op, x_data, first, second, seed_grad, x_grad):
@@ -27,6 +28,18 @@ def run(op, x_data, first, second, seed_grad, x_grad):
         out = op(x, first, second)
         tape.backward(out, seed=seed_grad)
     return [out.data, x.grad] + [t.grad for t in first + second]
+
+
+def run_spatial_graph(x_data, weights, partitions, masks, seed_grad, x_grad):
+    """`run` for the graph conv's own closures: conv() and backward(g)."""
+    x = Tensor(x_data)
+    x.grad = x_grad.copy()
+    weights = [Tensor(a) for a in weights]
+    masks = [Tensor(a) for a in masks]
+    conv, backward = _spatial_graph(x, weights, partitions, masks)
+    out = conv()
+    backward(seed_grad)
+    return [out, x.grad] + [t.grad for t in weights + masks]
 
 
 def assert_all_equal(fused, chain):
@@ -60,11 +73,10 @@ def test_spatial_graph_conv_is_bit_identical_to_the_chain(mode, subsets, c_in, c
 
         x = draw(c_in, frames, joints)
         weights = [draw(c_out, c_in) for _ in range(subsets)]
-        partitions = rng.normal(size=(subsets, joints, joints))  # float64, cast by the op
+        partitions = rng.normal(size=(subsets, joints, joints))  # float64, cast by the conv
         masks = [draw(joints, joints) for _ in range(subsets)]
         g, x_grad = draw(c_out, frames, joints), draw(c_in, frames, joints)
-        fused = run(lambda f, w, m: spatial_graph_conv(f, w, partitions, m),
-                    x, weights, masks, g, x_grad)
+        fused = run_spatial_graph(x, weights, partitions, masks, g, x_grad)
         chain = run(lambda f, w, m: chain_spatial_graph_conv(f, w, partitions, m),
                     x, weights, masks, g, x_grad)
     assert fused[0].dtype == dtype
@@ -102,7 +114,7 @@ def test_temporal_graph_mix_is_bit_identical_to_the_chain(mode, heads, channels,
     assert_all_equal(fused, chain)
 
 
-@pytest.mark.parametrize("name", ["spatial_graph_conv", "temporal_graph_mix"])
+@pytest.mark.parametrize("name", ["temporal_graph_mix"])
 def test_fused_ops_are_registered_and_gradient_checked(name):
     assert name in OP_NAMES and name in gradcheck.OP_CHECKS
     [(checked, result)] = list(gradcheck.check_all_ops(seed=5, only=name))
@@ -118,12 +130,9 @@ def test_sg_stage_records_one_graph_conv():
     block = SGBlock(3, 5, parts, "t.sg", seed=1)
     x = Tensor(np.random.default_rng(1).normal(size=(3, 6, 4)))
     with Tape() as tape:
-        sg_forward(block, x)
+        out = sg_forward(block, x)
     assert op_names(tape) == ["spatial_graph_bn_relu"]
-    with Tape() as tape:
-        out = sg_forward(block, x, apply_bn_relu=False)
-    assert op_names(tape) == ["spatial_graph_conv"]
-    tape.backward(out)
+    tape.backward(out, seed=np.random.default_rng(2).normal(size=out.shape))
     assert all(w.grad.any() for w in block.weights)
     assert all(m.grad.any() for m in block.masks)
 
@@ -190,30 +199,31 @@ def test_records_per_training_sample(name):
             == (len(config.layers) - tc_layers) * config.max_bodies)
 
 
-def test_every_op_but_three_is_recorded_by_a_benchmarked_model():
+def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
     """The ops none of the benchmark's models records serve tests only."""
     recorded = set()
     for config, _ in RECORD_CASES.values():
         recorded.update(record_training_sample(config))
     assert recorded <= set(OP_NAMES)
-    assert set(OP_NAMES) - recorded == {"sub", "pad_axis", "spatial_graph_conv"}
+    # These two wait for the per-layer record list in BENCHMARK.json to change.
+    assert set(OP_NAMES) - recorded == {"sub", "pad_axis"}
 
 
 def test_validation():
     x = Tensor(np.zeros((2, 4, 3)))
     w, p, m = Tensor(np.zeros((5, 2))), np.zeros((3, 3)), Tensor(np.zeros((3, 3)))
     with pytest.raises(ShapeError, match="3-D"):
-        spatial_graph_conv(Tensor(np.zeros((2, 4))), [w], [p], [m])
+        _spatial_graph(Tensor(np.zeros((2, 4))), [w], [p], [m])
     with pytest.raises(ShapeError, match="2 weights for 2 partitions and 1 masks"):
-        spatial_graph_conv(x, [w, w], [p, p], [m])
+        _spatial_graph(x, [w, w], [p, p], [m])
     with pytest.raises(ShapeError, match="1 weights for 2 partitions"):
-        spatial_graph_conv(x, [w], [p, p], [m])
+        _spatial_graph(x, [w], [p, p], [m])
     with pytest.raises(ShapeError, match="weight 1"):
-        spatial_graph_conv(x, [w, Tensor(np.zeros((5, 3)))], [p, p], [m, m])
+        _spatial_graph(x, [w, Tensor(np.zeros((5, 3)))], [p, p], [m, m])
     with pytest.raises(ShapeError, match="mask 0"):
-        spatial_graph_conv(x, [w], [p], [Tensor(np.zeros((4, 4)))])
+        _spatial_graph(x, [w], [p], [Tensor(np.zeros((4, 4)))])
     with pytest.raises(ShapeError, match="partition 1"):
-        spatial_graph_conv(x, [w, w], [p, np.zeros((4, 4))], [m, m])
+        _spatial_graph(x, [w, w], [p, np.zeros((4, 4))], [m, m])
     a_t, w_t = Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2)))
     with pytest.raises(ShapeError, match="3-D"):
         temporal_graph_mix(Tensor(np.zeros((2, 4))), [a_t], [w_t])

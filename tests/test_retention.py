@@ -38,7 +38,6 @@ from tegraph.tensor import (
     scale,
     slice_axis,
     softmax_rows,
-    spatial_graph_conv,
     sub,
     sum_all,
     sum_axis,
@@ -95,17 +94,11 @@ CASES = {
                                       np.ones(3), training=True), set()),
     "temporal_conv": (lambda r: {"x": _t(r, 3, 7, 2), "kernel": _t(r, 4, 3, 3)},
                       lambda i: temporal_conv(i["x"], i["kernel"], 2, 1), {"x", "kernel"}),
-    "spatial_graph_conv": (
-        lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
-                   "m0": _t(r, 5, 5), "m1": _t(r, 5, 5)},
-        lambda i: spatial_graph_conv(i["x"], [i["w0"], i["w1"]], PARTITIONS,
-                                     [i["m0"], i["m1"]]),
-        {"x", "w0", "w1"}),  # the rule keeps the gates P_k * M_k, not the masks
     "spatial_graph_bn_relu": (
         lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
                    "m0": _t(r, 5, 5), "m1": _t(r, 5, 5), "gamma": _t(r, 2), "beta": _t(r, 2)},
         lambda i: spatial_graph_bn_relu(_blocks(i)[0], i["x"]),
-        {"x", "w0", "w1", "gamma", "beta"}),
+        {"x", "w0", "w1", "gamma", "beta"}),  # the gates P_k * M_k, not the masks
     "spatial_temporal_stage": (
         lambda r: {"x": _t(r, 3, 4, 5), "w0": _t(r, 2, 3), "w1": _t(r, 2, 3),
                    "m0": _t(r, 5, 5), "m1": _t(r, 5, 5), "gamma": _t(r, 2), "beta": _t(r, 2),

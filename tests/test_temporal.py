@@ -15,12 +15,11 @@ from tegraph.temporal import (
     MultiHeadTemporalConv,
     RelevanceHead,
     build_heads,
-    feature_calculated,
     feature_learned,
     normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor
+from tegraph.tensor import Tensor, calculated_heads
 
 
 def calc_head(channels=4, frames=5, joints=3, seed=0, name="h"):
@@ -29,6 +28,12 @@ def calc_head(channels=4, frames=5, joints=3, seed=0, name="h"):
 
 def learned_head(channels=4, frames=5, joints=3, seed=0, name="h"):
     return RelevanceHead("feature-learned", channels, frames, joints, name, seed)
+
+
+def calc_adjacency(head, f):
+    """The row-stochastic adjacency `calculated_heads` builds for one head."""
+    [adjacency] = calculated_heads(Tensor(f), [head.w_a.value], [head.w_b.value])
+    return adjacency.data
 
 
 # ---------------------------------------------------------------------------
@@ -43,9 +48,9 @@ def test_feature_calculated_matches_scalar_oracle():
         joints = int(rng.integers(1, 5))
         head = calc_head(channels, frames, joints, seed=trial)
         f = rng.normal(size=(channels, frames, joints))
-        got = feature_calculated(head, Tensor(f)).data
-        expected = feature_calculated_oracle(head.w_a.value.data,
-                                             head.w_b.value.data, f)
+        got = calc_adjacency(head, f)
+        expected = softmax_rows_oracle(feature_calculated_oracle(head.w_a.value.data,
+                                                                 head.w_b.value.data, f))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
@@ -66,19 +71,21 @@ def test_feature_learned_matches_scalar_oracle():
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
-def test_zero_features_give_zero_calculated_scores():
+def test_zero_features_give_uniform_calculated_adjacency():
+    # zero scores in every row: the row softmax spreads each frame evenly
     head = calc_head()
-    got = feature_calculated(head, Tensor(np.zeros((4, 5, 3)))).data
-    np.testing.assert_array_equal(got, 0.0)
+    got = calc_adjacency(head, np.zeros((4, 5, 3)))
+    np.testing.assert_array_equal(got, 0.2)
 
 
 def test_calculated_scores_are_conjugate_permutation_equivariant():
+    # so is their row softmax, the adjacency
     rng = np.random.default_rng(2)
     head = calc_head(frames=6)
     f = rng.normal(size=(4, 6, 3))
     perm = rng.permutation(6)
-    r = feature_calculated(head, Tensor(f)).data
-    r_perm = feature_calculated(head, Tensor(f[:, perm, :])).data
+    r = calc_adjacency(head, f)
+    r_perm = calc_adjacency(head, f[:, perm, :])
     np.testing.assert_allclose(r_perm, r[np.ix_(perm, perm)], rtol=0, atol=1e-12)
 
 
@@ -109,12 +116,12 @@ def test_head_validation():
         RelevanceHead("nope", 4, 5, 3, "h")
     with pytest.raises(ConfigError, match="divisible"):
         calc_head(channels=6)
-    head = calc_head()
-    with pytest.raises(ShapeError):
-        head(Tensor(np.zeros((5, 5, 3))))  # wrong channel count
+    mhc = MultiHeadTemporalConv(1, "feature-calculated", 4, 5, 3, "m")
+    with pytest.raises(ShapeError, match="head built for 4"):
+        build_heads(mhc, Tensor(np.zeros((5, 5, 3))))  # wrong channel count
     bound = learned_head(frames=5, joints=3)
     with pytest.raises(ShapeError, match="bound"):
-        bound(Tensor(np.zeros((4, 6, 3))))
+        feature_learned(bound, Tensor(np.zeros((4, 6, 3))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tegraph import precision
-from tegraph.blocks import TCBlock, tc_forward
+from tegraph.blocks import TCBlock
 from tegraph.errors import ShapeError
 from tegraph.tensor import (
     Tape,
@@ -90,10 +90,11 @@ def test_unpadded_conv_reads_its_input_in_place():
     assert peak < 2 * x.data.nbytes, f"peak {peak / x.data.nbytes:.2f} inputs"
 
 
-def test_tc_forward_records_one_op():
+def test_temporal_conv_records_one_op():
     block = TCBlock(3, 9, 2, "t.tc", seed=1)
     with Tape() as tape:
-        out = tc_forward(block, Tensor(np.ones((3, 10, 2))), apply_bn_relu=False)
+        out = temporal_conv(Tensor(np.ones((3, 10, 2))), block.kernel.value, block.stride,
+                            block.pad)
     assert len(tape) == 1
     tape.backward(out)
     assert block.kernel.grad.any()
@@ -105,7 +106,8 @@ def test_kernel_gradient_accumulates_into_a_parameter():
     grads = []
     for _ in range(2):
         with Tape() as tape:
-            tape.backward(tc_forward(block, Tensor(f), apply_bn_relu=False))
+            tape.backward(temporal_conv(Tensor(f), block.kernel.value, block.stride,
+                                        block.pad))
         grads.append(block.kernel.grad.copy())
     np.testing.assert_array_equal(grads[1], 2.0 * grads[0])
 
