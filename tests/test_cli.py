@@ -131,6 +131,15 @@ def test_parse_layer_specs_variants():
         parse_layer_specs("3:64,3:8:1:tc:3:junk")
 
 
+def test_train_layer_spec_with_a_sixth_field_is_config_error(tmp_path, dataset_dir, capsys):
+    out = tmp_path / "run"
+    code = main(["train", "--data", str(dataset_dir / "manifest.jsonl"),
+                 "--out", str(out), *TRAIN_OPTIONS, "--set", "layers=3:8:1:tc:3:junk"])
+    assert code == 2
+    assert "'3:8:1:tc:3:junk' has 6 fields" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_model_config_from_custom_layers():
     config = model_config_from({
         "classes": "2", "layers": "3:8:1:tc:3,8:8:2:tc:3",

@@ -10,6 +10,7 @@ import pytest
 from oracles import chain_spatial_graph_conv, chain_temporal_graph_mix
 from tegraph import gradcheck, precision
 from tegraph.blocks import SGBlock, sg_forward
+from tegraph.cli import main
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
 from tegraph.model import LayerSpec, ModelConfig, Network, backbone_config
@@ -207,6 +208,15 @@ def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
     assert recorded <= set(OP_NAMES)
     # These two wait for the per-layer record list in BENCHMARK.json to change.
     assert set(OP_NAMES) - recorded == {"sub", "pad_axis"}
+
+
+def test_the_spatial_graph_conv_is_no_op_of_its_own():
+    """Only the two spatial-stage records run the graph conv; gradcheck has no
+    separate entry for it."""
+    assert len(OP_NAMES) == len(gradcheck.OP_CHECKS) == 20
+    assert "spatial_graph_conv" not in OP_NAMES
+    assert {"spatial_graph_bn_relu", "spatial_temporal_stage"} <= set(OP_NAMES)
+    assert main(["gradcheck", "--op", "spatial_graph_conv"]) == 2
 
 
 def test_validation():
