@@ -4,19 +4,24 @@ Implemented as a dedicated taped op with a hand-written backward, recorded
 through `tensor._record`, rather than a composition of primitives: the
 composed graph would be an order of magnitude more tape records per layer,
 and the closed-form gradient is the one place the chain rule is genuinely
-error-prone, so the op gets its own gradient-check entry.  The arithmetic lives in five helpers that
-`batchnorm` and the fused stages of blocks.py call, so they cannot drift
-apart: `_normalize` (the forward pass), `_center` (xhat from the input and
-the per-channel mean and sigma), `_affine` (gamma * xhat + beta),
-`_gradients` (the backward pass) and `_relu_backward`, the one bn -> ReLU
-backward: it rebuilds the ReLU mask gamma * xhat + beta > 0, runs
-`_gradients` and hands beta and gamma their gradients.  `batchnorm`'s rule
-keeps the normalized input `xhat` and the per-channel scale gamma / sigma,
-never x itself.  The spatial stage of blocks.py (`blocks._spatial_stage`)
-keeps neither, rebuilds xhat from the conv output with `_center` and
+error-prone, so the op gets its own gradient-check entry.  The arithmetic
+lives in five helpers that `batchnorm` and the fused stages of blocks.py
+call, so they cannot drift apart: `_normalize` (the forward pass),
+`_center` (xhat from the input and the per-channel mean and sigma),
+`_affine` (gamma * xhat + beta), `_gradients` (the backward pass) and
+`_relu_backward`, the one bn -> ReLU backward: it rebuilds the ReLU mask
+gamma * xhat + beta > 0, forms dy and then dx over that temporary, and
+hands beta and gamma their gradients.
+`batchnorm`'s rule keeps the normalized input `xhat` and the per-channel
+scale gamma / sigma, never x itself.  The spatial stage of blocks.py
+(`blocks._spatial_stage`) keeps neither: its forward normalizes its own
+conv output in place (`_normalize(..., in_place=True)`), and its rule
+rebuilds the conv output, centers it into xhat in place with `_center` and
 replays `_relu_backward`; `blocks.spatial_temporal_stage` does the same for
 its temporal batchnorm, running the temporal conv again, and has `_affine`
-write its spatial output straight into the temporal conv's padded input.
+write its spatial output straight into the temporal conv's padded input,
+and `blocks.spatial_tgraph_stage` has `_affine` rebuild its spatial output
+from the spatial xhat.
 
 Each statistic is computed once and bit for bit as numpy's own `mean` and
 `var` compute it: a sum divided by an `np.intp` count through `out=` into
@@ -56,13 +61,11 @@ def _layout(x: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.intp]:
             np.intp(math.prod(x.shape[1:])))
 
 
-def _center(x: np.ndarray, mean: np.ndarray, sigma: np.ndarray,
-            centered: np.ndarray | None = None) -> np.ndarray:
-    """xhat = (x - mean) / sigma with `mean` per channel; a `centered` x - mean
-    already at hand is divided in place and becomes xhat."""
-    xhat = x - mean if centered is None else centered
-    xhat /= sigma.reshape(mean.shape)
-    return xhat
+def _center(x: np.ndarray, mean: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """xhat = (x - mean) / sigma with `mean` per channel, in place in x."""
+    x -= mean
+    x /= sigma.reshape(mean.shape)
+    return x
 
 
 def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
@@ -75,12 +78,14 @@ def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, eps: float, momentum: float):
+               running_var: np.ndarray, training: bool, eps: float, momentum: float,
+               in_place: bool = False):
     """The forward arithmetic: (output, xhat, mean, sigma, scale).
 
     mean is per channel in broadcast shape, sigma per channel, and scale is
     gamma / sigma in broadcast shape, the factor of the input gradient.  In
-    training the running buffers take one momentum step.
+    training the running buffers take one momentum step.  `in_place` centers
+    x in place and writes the output over xhat, so all three are x.
     """
     if x.ndim < 2:
         raise ShapeError(f"batchnorm expects rank >= 2, got shape {x.shape}")
@@ -91,42 +96,45 @@ def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor, running_mean: np.ndar
             f"do not match {channels} channels"
         )
     axes, bshape, count = _layout(x)
-    centered = None
+    buffer = x if in_place else None
     if training:
         mean = _divide(x.sum(axis=axes, keepdims=True), count)
-        centered = x - mean
-        var = _divide(np.square(centered).sum(axis=axes), count)
+        xhat = np.subtract(x, mean, out=buffer)
+        var = _divide(np.square(xhat).sum(axis=axes), count)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean.reshape(channels)
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
         mean = running_mean.reshape(bshape).copy()  # a rule may keep it; the buffer moves
+        xhat = np.subtract(x, mean, out=buffer)
         var = running_var
     sigma = np.sqrt(var + eps)
-    xhat = _center(x, mean, sigma, centered)
-    out = _affine(xhat, gamma.data, beta.data)
+    xhat /= sigma.reshape(bshape)
+    out = _affine(xhat, gamma.data, beta.data, out=buffer)
     _check_finite(out, "batchnorm")
     return out, xhat, mean, sigma, (gamma.data / sigma).reshape(bshape)
 
 
-def _gradients(dy: np.ndarray, xhat: np.ndarray, scale: np.ndarray,
-               training: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(d_beta, d_gamma, dx) for the output gradient `dy`, all fresh arrays."""
+def _gradients(dy: np.ndarray, xhat: np.ndarray, scale: np.ndarray, training: bool,
+               in_place: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d_beta, d_gamma, dx) for the output gradient `dy`; `in_place` forms dx
+    in dy, which must then be the caller's own temporary."""
     axes, bshape, count = _layout(dy)
     d_beta = dy.sum(axis=axes)
     dy_xhat = dy * xhat
     d_gamma = dy_xhat.sum(axis=axes)
+    dx = dy if in_place else None
     if training:
         # Batch statistics depend on x, hence the two centering terms:
         # scale * (dy - mean(dy) - xhat * mean(dy * xhat)).
         m_dy = _divide(d_beta.copy(), count).reshape(bshape)
         m_dy_xhat = _divide(d_gamma.copy(), count).reshape(bshape)
-        dx = dy - m_dy
+        dx = np.subtract(dy, m_dy, out=dx)
         dx -= np.multiply(xhat, m_dy_xhat, out=dy_xhat)
         dx *= scale
     else:
-        dx = scale * dy
+        dx = np.multiply(scale, dy, out=dx)
     return d_beta, d_gamma, dx
 
 
@@ -135,12 +143,14 @@ def _relu_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, beta: np.
                    beta_cell: GradCell) -> np.ndarray:
     """The backward of relu(gamma * xhat + beta) for the output gradient `g`.
 
-    The ReLU mask is rebuilt as gamma * xhat + beta > 0.  beta and gamma get
+    The ReLU mask is rebuilt as gamma * xhat + beta > 0, and dy and then the
+    input gradient are written over that temporary.  beta and gamma get
     their gradients, in that order, and the input gradient is returned.
     """
-    dy = g * (_affine(xhat, gamma, beta) > 0)
+    dy = _affine(xhat, gamma, beta)
+    dy = np.multiply(g, dy > 0, out=dy)
     del g  # a caller's temporary is freed before the bn backward allocates
-    d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training)
+    d_beta, d_gamma, dx = _gradients(dy, xhat, scale, training, in_place=True)
     _accumulate(beta_cell, d_beta, fresh=True)
     _accumulate(gamma_cell, d_gamma, fresh=True)
     return dx

@@ -18,12 +18,16 @@ temporal conv, the batchnorm and the ReLU one op each.  A residual unit's
 projection skip path is a one-tap `temporal_conv`.  Where the temporal
 block reads the spatial output s directly (a tc-mode layer),
 `spatial_temporal_stage` records both blocks as one record that keeps
-neither s nor the temporal conv output.  The spatial stage's arithmetic,
-forward and backward, lives only in `_spatial_stage`, which both fused
-records call, and every fused bn -> ReLU backward is
-`batchnorm._relu_backward`.  Both records go on the tape through
-`tensor._record`.  Oracle tests reach the raw linear maps through
-`tensor._spatial_graph` and `temporal_conv`, the code the stages run.
+neither s nor the temporal conv output.  Where a layer's feature-calculated
+heads and their temporal graph mix read s (a tgraph or both layer),
+`spatial_tgraph_stage` records the spatial stage, the heads, the mix and
+the skip add s + mix(s) as one record that keeps its adjacencies but not
+s.  The spatial stage's arithmetic, forward and backward, lives only in
+`_spatial_stage`, which all three fused records call, and every fused
+bn -> ReLU backward is `batchnorm._relu_backward`.  The records go on the
+tape through `tensor._record`.  Oracle tests reach the raw linear maps
+through `tensor._spatial_graph`, `tensor._calculated_heads` and
+`temporal_conv`, the code the stages run.
 """
 from __future__ import annotations
 
@@ -32,10 +36,13 @@ import numpy as np
 from . import init
 from .batchnorm import BatchNorm, _affine, _center, _normalize, _relu_backward
 from .errors import ConfigError, ShapeError
+from .temporal import MultiHeadTemporalConv
 from .tensor import (
     Parameter,
     Tensor,
+    _calculated_heads,
     _check_finite,
+    _graph_mix,
     _record,
     _spatial_graph,
     _temporal,
@@ -102,7 +109,8 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
     bn = sg.bn
     gamma, beta, training = bn.gamma.value, bn.beta.value, bn.training
     out, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, bn.running_mean,
-                                            bn.running_var, training, bn.eps, bn.momentum)
+                                            bn.running_var, training, bn.eps, bn.momentum,
+                                            in_place=True)
     gamma_cell, beta_cell, gamma, beta = gamma.cell, beta.cell, gamma.data, beta.data
 
     def backward(g_of) -> None:
@@ -223,8 +231,8 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     bn = tc.bn
     tc_gamma, tc_beta, training = bn.gamma.value, bn.beta.value, bn.training
     out_data, _, mean, sigma, scale = _normalize(t_data, tc_gamma, tc_beta, bn.running_mean,
-                                                 bn.running_var, training, bn.eps, bn.momentum)
-    del t_data
+                                                 bn.running_var, training, bn.eps, bn.momentum,
+                                                 in_place=True)
     tc_gamma_cell, tc_beta_cell = tc_gamma.cell, tc_beta.cell
     tc_gamma, tc_beta = tc_gamma.data, tc_beta.data
     gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
@@ -242,3 +250,46 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
         spatial_backward(ds_of)
 
     return _record(Tensor(np.maximum(out_data, 0.0, out=out_data)), rule)
+
+
+def spatial_tgraph_stage(sg: SGBlock, mhc: MultiHeadTemporalConv,
+                         f: Tensor) -> tuple[Tensor, list[np.ndarray]]:
+    """s + mix(s) for s = sg_forward(sg, f) and mhc's feature-calculated heads
+    as one record, bit for bit, and the heads' adjacencies.
+
+    The rule keeps what `_spatial_stage` keeps plus the adjacencies, never s,
+    a head operand or a mix.  It replays the spatial stage's backward, whose
+    output gradient it computes from the rebuilt spatial xhat: s = relu(gamma
+    * xhat + beta) again, then the output gradient g plus the mix's input
+    gradient plus the heads' input gradients, n = N-1..0, the order in which
+    the records of the chain summed them.  The adjacencies are arrays the
+    rule reads, so a caller copies them before writing to them.
+    """
+    if mhc.channels != sg.out_channels:
+        raise ShapeError(f"{mhc.identifier}: takes {mhc.channels} channels, "
+                         f"{sg.identifier} makes {sg.out_channels}")
+    s, spatial_backward = _spatial_stage(sg, f)
+    heads, heads_backward = _calculated_heads(s.shape, [h.w_a.value for h in mhc.heads],
+                                              [h.w_b.value for h in mhc.heads])
+    mix, mix_backward = _graph_mix(s.shape, [w.value for w in mhc.output_maps])
+    adjacencies = heads(s)
+    out = mix(s, adjacencies)
+    _check_finite(out, "temporal_graph_mix")
+    out += s
+    _check_finite(out, "add")
+    del s
+    gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
+
+    def rule(g):
+        def ds_of(xhat: np.ndarray) -> np.ndarray:
+            s = _affine(xhat, gamma, beta)
+            np.maximum(s, 0.0, out=s)
+            d_adjacencies, d_mix = mix_backward(g, s, adjacencies)
+            ds = g + d_mix  # contiguous: d_mix is a transposed view
+            del d_mix
+            heads_backward(s, adjacencies, d_adjacencies, ds)
+            return ds
+
+        spatial_backward(ds_of)
+
+    return _record(Tensor(out), rule), adjacencies

@@ -30,9 +30,11 @@ from .blocks import (
     TCBlock,
     spatial_graph_bn_relu,
     spatial_temporal_stage,
+    spatial_tgraph_stage,
     tc_output_length,
 )
 from .errors import NumericError
+from .temporal import MultiHeadTemporalConv
 from .tensor import (
     OP_NAMES,
     Parameter,
@@ -40,7 +42,6 @@ from .tensor import (
     Tensor,
     _spatial_graph,
     add,
-    calculated_heads,
     matmul,
     mul,
     pad_axis,
@@ -272,6 +273,29 @@ def _away_from_the_kink(rng, draw, pre_relu, margin=0.01):
             return inputs
 
 
+def _redraw(params):
+    """The `draw` of the spatial-stage checks: every parameter afresh, the
+    batchnorm scales in [0.5, 1.5], and a fresh (3, 5, 4) input."""
+    def draw(r):
+        for p in params:
+            p.assign(r.uniform(0.5, 1.5, size=p.shape) if p.identifier.endswith(".gamma")
+                     else r.normal(size=p.shape))
+        return (Tensor(r.normal(size=(3, 5, 4))),)
+
+    return draw
+
+
+def _bn(t, block):
+    c = block.bn.channels
+    return batchnorm(t, block.bn.gamma.value, block.bn.beta.value, np.zeros(c), np.ones(c), True)
+
+
+def _spatial_pre_relu(sg, x):
+    conv, _ = _spatial_graph(x, [w.value for w in sg.weights], sg.partitions,
+                             [m.value for m in sg.masks])
+    return _bn(Tensor(conv()), sg)
+
+
 def _check_spatial_stage(rng, strides):
     """One spatial block, alone or feeding one temporal block per stride; with
     strides 1 and 2 each spatial parameter takes two contributions."""
@@ -279,25 +303,12 @@ def _check_spatial_stage(rng, strides):
     tcs = [TCBlock(2, 3, stride, f"tc{stride}") for stride in strides]
     params = sg.parameters() + [p for tc in tcs for p in tc.parameters()]
 
-    def draw(r):
-        for p in params:
-            p.assign(r.uniform(0.5, 1.5, size=p.shape) if p.identifier.endswith(".gamma")
-                     else r.normal(size=p.shape))
-        return (Tensor(r.normal(size=(3, 5, 4))),)
-
     def pre_relu(x):
-        def bn(t, block):
-            return batchnorm(t, block.bn.gamma.value, block.bn.beta.value, np.zeros(2),
-                             np.ones(2), True)
-
-        conv, _ = _spatial_graph(x, [w.value for w in sg.weights], sg.partitions,
-                                 [m.value for m in sg.masks])
-        s = bn(Tensor(conv()), sg)
-        ts = [bn(temporal_conv(relu(s), tc.kernel.value, tc.stride, tc.pad), tc)
-              for tc in tcs]
+        s = _spatial_pre_relu(sg, x)
+        ts = [_bn(temporal_conv(relu(s), tc.kernel.value, tc.stride, tc.pad), tc) for tc in tcs]
         return Tensor(np.concatenate([t.data.ravel() for t in (s, *ts)]))
 
-    (x,) = _away_from_the_kink(rng, draw, pre_relu)
+    (x,) = _away_from_the_kink(rng, _redraw(params), pre_relu)
     frames = [tc_output_length(5, stride) for stride in strides] or [5]
     ws = [Tensor(rng.normal(size=(2, t, 4))) for t in frames]
 
@@ -308,19 +319,15 @@ def _check_spatial_stage(rng, strides):
     return f, [("x", x), *params]
 
 
-def _check_calculated_heads(rng):
-    f_in = Tensor(rng.normal(size=(4, 5, 2)))
-    w_a = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
-    w_b = [Tensor(rng.normal(size=(2, 4))) for _ in range(2)]
-    w = [Tensor(rng.normal(size=(5, 5))) for _ in range(2)]
-    wrt = [("f", f_in), *((f"wa{n}", t) for n, t in enumerate(w_a)),
-           *((f"wb{n}", t) for n, t in enumerate(w_b))]
-
-    def f():
-        a0, a1 = calculated_heads(f_in, w_a, w_b)
-        return add(sum_all(mul(a0, w[0])), sum_all(mul(a1, w[1])))
-
-    return f, wrt
+def _check_spatial_tgraph_stage(rng):
+    """One spatial block feeding two feature-calculated heads and their mix,
+    the output maps drawn off zero."""
+    sg = SGBlock(3, 4, rng.normal(size=(2, 4, 4)), "sg")
+    mhc = MultiHeadTemporalConv(2, "feature-calculated", 4, 5, 4, "tgc")
+    params = sg.parameters() + mhc.parameters()
+    (x,) = _away_from_the_kink(rng, _redraw(params), lambda x: _spatial_pre_relu(sg, x))
+    w = Tensor(rng.normal(size=(4, 5, 4)))
+    return (lambda: sum_all(mul(spatial_tgraph_stage(sg, mhc, x)[0], w))), [("x", x), *params]
 
 
 def _check_temporal_conv(rng):
@@ -360,7 +367,7 @@ OP_CHECKS = {
     "temporal_conv": _check_temporal_conv,
     "spatial_graph_bn_relu": lambda rng: _check_spatial_stage(rng, ()),
     "spatial_temporal_stage": lambda rng: _check_spatial_stage(rng, (1, 2)),
-    "calculated_heads": _check_calculated_heads,
+    "spatial_tgraph_stage": _check_spatial_tgraph_stage,
     "temporal_graph_mix": _check_temporal_graph_mix,
 }
 

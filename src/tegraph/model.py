@@ -15,7 +15,8 @@ zero-initialized output maps a freshly built tgraph/both layer computes
 exactly what the corresponding tc (or plain) layer computes; combined with
 name-keyed parameter init this makes inserting the stage a bit-exact no-op
 at initialization.  A tc layer records SG and its tc as the one
-`spatial_temporal_stage` record, which never keeps s.
+`spatial_temporal_stage` record, and SG with feature-calculated heads and
+the skip add is the one `spatial_tgraph_stage` record; neither keeps s.
 
 The network runs each body slot through shared weights: input batchnorm
 over (coordinate, joint) channel pairs, the layer stack, global average
@@ -37,6 +38,7 @@ from .blocks import (
     TCBlock,
     sg_forward,
     spatial_temporal_stage,
+    spatial_tgraph_stage,
     tc_forward,
     tc_output_length,
 )
@@ -230,12 +232,16 @@ class TGCNLayer:
         if self.tgc is None:
             t = spatial_temporal_stage(self.sg, self.tc, f)
         else:
-            s = sg_forward(self.sg, f)
-            adjacencies = build_heads(self.tgc, s)
+            if self.tgc.heads[0].kind == "feature-calculated":
+                s, adjacencies = spatial_tgraph_stage(self.sg, self.tgc, f)
+            else:
+                s = sg_forward(self.sg, f)
+                built = build_heads(self.tgc, s)
+                s = add(s, temporal_graph_conv(self.tgc, s, built))
+                adjacencies = [adj.data for adj in built]
             if collector is not None:
                 for n, adj in enumerate(adjacencies):
-                    collector.append((f"{self.identifier}.head{n}", adj.data.copy()))
-            s = add(s, temporal_graph_conv(self.tgc, s, adjacencies))
+                    collector.append((f"{self.identifier}.head{n}", adj.copy()))
             t = tc_forward(self.tc, s) if self.tc is not None else s
         res = f if self.residual is None else self.residual(f)
         return relu(add(t, res))

@@ -32,7 +32,6 @@ from .tensor import (
     Parameter,
     Tensor,
     add,
-    calculated_heads,
     constant,
     matmul,
     mul,
@@ -150,18 +149,17 @@ class MultiHeadTemporalConv:
 
 
 def build_heads(mhc: MultiHeadTemporalConv, f: Tensor) -> list[Tensor]:
-    """One row-stochastic temporal adjacency per head, in head order.
+    """One row-stochastic temporal adjacency per feature-learned head, in head
+    order: the row softmax of each head's `feature_learned` scores.
 
-    Feature-learned heads each normalize their `feature_learned` scores.
-    Feature-calculated heads are one `calculated_heads` record per layer:
-    the row softmax of (W_a f)^T (W_b f), contracted over channel and joint.
+    Feature-calculated heads, the row softmax of (W_a s)^T (W_b s) contracted
+    over channel and joint, are no ops of their own: they run inside their
+    layer's one `blocks.spatial_tgraph_stage` record.
     """
-    heads = mhc.heads
-    if heads[0].kind == "feature-learned":
-        return [normalize(feature_learned(head, f)) for head in heads]
-    _check_feature(heads[0], f)
-    return calculated_heads(f, [head.w_a.value for head in heads],
-                            [head.w_b.value for head in heads])
+    if mhc.heads[0].kind != "feature-learned":
+        raise ConfigError(f"{mhc.identifier}: feature-calculated heads run only inside "
+                          f"blocks.spatial_tgraph_stage")
+    return [normalize(feature_learned(head, f)) for head in mhc.heads]
 
 
 def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,

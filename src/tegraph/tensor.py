@@ -5,54 +5,60 @@ process-global precision (see precision.py), operations are pure functions
 that record a backward rule on the active Tape, if any, and a Tape is a
 plain Wengert list replayed once and consumed in strict reverse execution
 order: each rule, and every buffer only it holds, is freed as soon as it
-has run, so a tape supports a single backward pass.  Every op but
-`calculated_heads` (one output per head, each skipped on its own) records
-through `_record(out, rule)`.  There is no
-broadcasting beyond scalar `scale`; reshape/permute/pad/slice are explicit
-ops so every backward rule stays auditable.  Fused ops give each hot stage
-one record: `temporal_conv` (the windowed temporal convolution),
-`calculated_heads` (every feature-calculated relevance head of a layer,
-softmax included) and `temporal_graph_mix` (the multi-head frame mixing)
-here, and `spatial_graph_bn_relu` (the whole spatial stage) and
-`spatial_temporal_stage` (a tc layer's spatial and temporal stages) in
-blocks.py.  Each reproduces the arithmetic of the op chain it replaces bit
-for bit and recomputes what its rule needs from its inputs.  The
-partitioned joint mixing is no record of its own: `_spatial_graph` holds
-its arithmetic, forward and backward, and `blocks._spatial_stage` runs it
-inside both blocks.py records, whose bn -> ReLU backward lives only in
-`batchnorm._relu_backward`.
+has run, so a tape supports a single backward pass.  Every op records
+through `_record(out, rule)`.  There is no broadcasting beyond scalar
+`scale`; reshape/permute/pad/slice are explicit ops so every backward rule
+stays auditable.  Fused ops give each hot stage one record:
+`temporal_conv` (the windowed temporal convolution) and
+`temporal_graph_mix` (the multi-head frame mixing) here, and
+`spatial_graph_bn_relu` (the whole spatial stage), `spatial_temporal_stage`
+(a tc layer's spatial and temporal stages) and `spatial_tgraph_stage` (a
+tgraph layer's spatial stage, feature-calculated heads, mix and skip add)
+in blocks.py.  Each reproduces the arithmetic of the op chain it replaces
+bit for bit and recomputes what its rule needs from its inputs.  Stage
+arithmetic that is no record of its own lives in closure helpers that the
+records share: `_spatial_graph` (the partitioned joint mixing, run by
+`blocks._spatial_stage` inside the three spatial-stage records, whose
+bn -> ReLU backward lives only in `batchnorm._relu_backward`), `_temporal`,
+`_calculated_heads` (every feature-calculated relevance head of a layer,
+softmax included) and `_graph_mix`.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
 A backward rule closes over its inputs' cells, its replay over its
 output's, and over exactly the arrays its formula reads, never over a
 Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
-`slice_axis` and the sums keep no array, `relu` keeps its mask, `matmul`
-and `mul` their operands, the softmaxes their output, `batchnorm` its
+`slice_axis` and the sums keep no array, `relu` and the softmaxes keep
+their output, `matmul` and `mul` their operands, `batchnorm` its
 normalized input, and `temporal_conv` and `temporal_graph_mix` their
-inputs.  The fused ops that end in a nonlinearity keep less than the chain
-did: `calculated_heads` keeps f, the projections and its adjacencies,
-never the score operands; the spatial stage (`blocks._spatial_stage`)
-keeps the layer input, the gates P_k * M_k and the per-channel mean,
-sigma and scale, and rebuilds the conv output, xhat and the mask one
-channel map at a time; `spatial_temporal_stage` keeps the same plus the
-temporal kernel and statistics, never the spatial output s or the
-temporal xhat: its rule rebuilds s straight into the zero-padded buffer
-the kernel-gradient taps read and runs the temporal conv on it again.  A
-temporal conv's backward takes the kernel gradient first and frees the
-padded input before the input gradient's padded buffer is made.
-Every other intermediate is freed as soon as the forward pass drops it,
-while the tape is still live.
+inputs.  The fused stages keep less than the chain did: the spatial stage
+(`blocks._spatial_stage`) keeps the layer input, the gates P_k * M_k and
+the per-channel mean, sigma and scale, and rebuilds the conv output, xhat
+and the mask one channel map at a time; `spatial_temporal_stage` keeps the
+same plus the temporal kernel and statistics, never the spatial output s
+or the temporal xhat: its rule rebuilds s straight into the zero-padded
+buffer the kernel-gradient taps read and runs the temporal conv on it
+again; `spatial_tgraph_stage` keeps the same plus the adjacencies, never
+s, a head's score operands or a mix: its rule rebuilds s from the spatial
+xhat and runs the mix and head backwards on it.  A temporal conv's
+backward takes the kernel gradient first and frees the padded input
+before the input gradient's padded buffer is made.  Every other
+intermediate is freed as soon as the forward pass drops it, while the tape
+is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
 to the cell as they are (`_accumulate(..., fresh=True)`): the results of
 `matmul`, `mul`, `scale`, `relu`, `softmax_rows` and the batchnorms, the
-input and mask gradients of the two spatial stages, the input and
-projection gradients of `calculated_heads` and the input-gradient slice of
+input and mask gradients of the three spatial stages, the projection
+gradients of the feature-calculated heads and the input-gradient slice of
 `temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
 sums pass on views of their output's gradient or `broadcast_to` views, so
-they keep copying.
+they keep copying.  Work in place touches only arrays the code has just
+made: the stage forwards center their own conv output and write the bn
+output over it, their rules center each rebuilt conv output, the bn-ReLU
+backward forms dy and dx in its own temporary.  Nothing writes into a
+cell's gradient or an array another rule can still read.
 
 Concurrency: training runs on the calling thread; only evaluation
 (`training.predict_logits`) forwards samples on worker threads, which
@@ -266,10 +272,9 @@ def _accumulate(cell: GradCell, g: np.ndarray, fresh: bool = False) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Differentiable operations.  Each but `calculated_heads` computes a fresh
-# Tensor `out`, defines `rule(g)` for out's gradient g and returns
-# `_record(out, rule)`.  OP_NAMES is the registry the gradient-check suite
-# iterates over.
+# Differentiable operations.  Each computes a fresh Tensor `out`, defines
+# `rule(g)` for out's gradient g and returns `_record(out, rule)`.  OP_NAMES
+# is the registry the gradient-check suite iterates over.
 
 OP_NAMES = [
     "matmul",
@@ -290,7 +295,7 @@ OP_NAMES = [
     "temporal_conv",
     "spatial_graph_bn_relu",
     "spatial_temporal_stage",
-    "calculated_heads",
+    "spatial_tgraph_stage",
     "temporal_graph_mix",
 ]
 
@@ -406,10 +411,10 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0.0))
-    a_cell, mask = a.cell, a.data > 0  # non-positive inputs get zero gradient
+    a_cell, out_data = a.cell, out.data
 
-    def rule(g):
-        _accumulate(a_cell, g * mask, fresh=True)
+    def rule(g):  # out > 0 exactly where a > 0; the rest get zero gradient
+        _accumulate(a_cell, g * (out_data > 0), fresh=True)
 
     return _record(out, rule)
 
@@ -635,67 +640,111 @@ def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np
     return conv, backward
 
 
-def calculated_heads(f: Tensor, w_a: Sequence[Tensor], w_b: Sequence[Tensor]) -> list[Tensor]:
-    """(C, T, J) -> one (T, T) row-stochastic adjacency per feature-calculated head.
+def _calculated_heads(shape: tuple, w_a: Sequence[Tensor], w_b: Sequence[Tensor]):
+    """Check feature-calculated relevance heads on an input shaped `shape` and
+    return their arithmetic as closures.
 
-    w_a[n] and w_b[n] are (R, C).  Head n's adjacency is the row softmax of
-    a_rows @ b_cols, where a_rows is W_a f laid out time-major as (T, R J)
-    and b_cols is W_b f as (R J, T).  The arithmetic is exactly that of each
-    head's unfused reshape/matmul/permute/softmax_rows chain, in head order.
-    The backward rule recomputes a_rows and b_cols per head instead of
-    keeping them, and sends each head's input gradient to f, n = N-1..0.
+    w_a[n] and w_b[n] are (R, C).  `adjacencies(x)` lists head n's (T, T)
+    row softmax of a_rows @ b_cols, where a_rows is W_a x laid out time-major
+    as (T, R J) and b_cols is W_b x as (R J, T), bit for bit each head's
+    unfused reshape/matmul/permute/softmax_rows chain, n = 0..N-1.  For the
+    adjacencies `adj` and their gradients `d_adj`, `backward(x, adj, d_adj,
+    dx)` rebuilds a_rows and b_cols, hands w_b[n] and w_a[n] their gradients
+    and adds head n's input gradient to `dx`, n = N-1..0.  The closures hold
+    the projections, never a Tensor.
     """
-    if f.data.ndim != 3:
-        raise ShapeError(f"calculated_heads expects a 3-D input, got {f.shape}")
     if not w_a or len(w_a) != len(w_b):
-        raise ShapeError(f"calculated_heads: {len(w_a)} a-projections for "
+        raise ShapeError(f"relevance heads: {len(w_a)} a-projections for "
                          f"{len(w_b)} b-projections")
-    c, frames, joints = f.shape
+    c, frames, joints = shape
     reduced = w_a[0].shape[0]
-    _check_stack("calculated_heads", w_a, (reduced, c), "a-projection")
-    _check_stack("calculated_heads", w_b, (reduced, c), "b-projection")
-    flat = f.data.reshape(c, frames * joints)
-    wa_data = [w.data for w in w_a]
-    wb_data = [w.data for w in w_b]
+    _check_stack("relevance heads", w_a, (reduced, c), "a-projection")
+    _check_stack("relevance heads", w_b, (reduced, c), "b-projection")
+    wa_data, wb_data = [w.data for w in w_a], [w.data for w in w_b]
+    a_cells, b_cells = [w.cell for w in w_a], [w.cell for w in w_b]
 
-    def operands(n: int) -> tuple[np.ndarray, np.ndarray]:
+    def operands(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         a = (wa_data[n] @ flat).reshape(reduced, frames, joints)
         b = (wb_data[n] @ flat).reshape(reduced, frames, joints)
         return (np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(frames, reduced * joints),
                 np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(reduced * joints, frames))
 
-    outs = []
-    for n in range(len(wa_data)):
-        a_rows, b_cols = operands(n)
-        scores = a_rows @ b_cols
-        _check_finite(scores, "calculated_heads")  # then the softmax is finite too
-        outs.append(Tensor(_softmax(scores)))
-    tape = active_tape()
-    if tape is not None:
-        f_cell = f.cell
-        a_cells = [w.cell for w in w_a]
-        b_cells = [w.cell for w in w_b]
-        out_cells = [out.cell for out in outs]
-        s_data = [out.data for out in outs]
+    def adjacencies(x: np.ndarray) -> list[np.ndarray]:
+        out = []
+        for n in range(len(wa_data)):
+            a_rows, b_cols = operands(x.reshape(c, -1), n)
+            scores = a_rows @ b_cols
+            _check_finite(scores, "relevance heads")  # then the softmax is finite too
+            out.append(_softmax(scores))
+        return out
 
-        def rule():
-            for n in reversed(range(len(s_data))):
-                if out_cells[n].grad is None:
-                    continue
-                d_scores = _softmax_grad(s_data[n], out_cells[n].grad)
-                a_rows, b_cols = operands(n)
-                d_a = np.ascontiguousarray((d_scores @ b_cols.T).reshape(
-                    frames, reduced, joints).transpose(1, 0, 2)).reshape(reduced, -1)
-                d_b = np.ascontiguousarray((a_rows.T @ d_scores).reshape(
-                    reduced, joints, frames).transpose(0, 2, 1)).reshape(reduced, -1)
-                _accumulate(b_cells[n], d_b @ flat.T, fresh=True)
-                d_flat = wb_data[n].T @ d_b
-                _accumulate(a_cells[n], d_a @ flat.T, fresh=True)
-                d_flat += wa_data[n].T @ d_a
-                _accumulate(f_cell, d_flat.reshape(c, frames, joints), fresh=True)
+    def backward(x: np.ndarray, adj: list, d_adj: list, dx: np.ndarray) -> None:
+        flat = x.reshape(c, -1)
+        for n in reversed(range(len(wa_data))):
+            d_scores = _softmax_grad(adj[n], d_adj[n])
+            a_rows, b_cols = operands(flat, n)
+            d_a = np.ascontiguousarray((d_scores @ b_cols.T).reshape(
+                frames, reduced, joints).transpose(1, 0, 2)).reshape(reduced, -1)
+            d_b = np.ascontiguousarray((a_rows.T @ d_scores).reshape(
+                reduced, joints, frames).transpose(0, 2, 1)).reshape(reduced, -1)
+            _accumulate(b_cells[n], d_b @ flat.T, fresh=True)
+            d_flat = wb_data[n].T @ d_b
+            _accumulate(a_cells[n], d_a @ flat.T, fresh=True)
+            d_flat += wa_data[n].T @ d_a
+            dx += d_flat.reshape(c, frames, joints)
 
-        tape.record(rule)
-    return outs
+    return adjacencies, backward
+
+
+def _graph_mix(shape: tuple, weights: Sequence[Tensor]):
+    """Check a temporal graph mix of an input shaped `shape` and return its
+    arithmetic as closures.
+
+    weights[n] is (C, C).  `mix(x, a)` is the (C, T, J) sum_n W_n @ (x mixed
+    along T by the (T, T) array a[n]), bit for bit the unfused
+    permute/reshape/matmul/add chain: head n multiplies a[n] by the
+    time-major (T, C J) copy of x, takes a channel-major copy of the result
+    and maps it by W_n, summed in order n = 0..N-1.  For the output gradient
+    `g`, `backward(g, x, a)` hands W_n its gradient, recomputing head n's
+    mix, and returns the list of a[n]'s gradients and the input gradient,
+    the heads' time-major terms summed over n = N-1..0 and seen channel-major.
+    """
+    c, frames, joints = shape
+    _check_stack("temporal_graph_mix", weights, (c, c), "weight")
+    w_data, w_cells = [w.data for w in weights], [w.cell for w in weights]
+
+    def time_major(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(frames, c * joints)
+
+    def mixed(a: np.ndarray, tm: np.ndarray) -> np.ndarray:
+        by_time = (a @ tm).reshape(frames, c, joints)
+        return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
+
+    def mix(x: np.ndarray, a: Sequence[np.ndarray]) -> np.ndarray:
+        tm = time_major(x)
+        acc = w_data[0] @ mixed(a[0], tm)
+        for n in range(1, len(w_data)):
+            acc += w_data[n] @ mixed(a[n], tm)
+        return acc.reshape(c, frames, joints)
+
+    def backward(g: np.ndarray, x: np.ndarray, a: Sequence[np.ndarray]):
+        g = g.reshape(c, frames * joints)
+        tm = time_major(x)
+        d_a, d_tm = [None] * len(w_data), None
+        for n in reversed(range(len(w_data))):
+            _accumulate(w_cells[n], g @ mixed(a[n], tm).T)
+            d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
+                1, 0, 2).reshape(frames, c * joints)
+            d_a[n] = d_mixed @ tm.T
+            term = a[n].T @ d_mixed
+            if d_tm is None:
+                d_tm = term
+            else:
+                d_tm += term
+            del d_mixed, term  # freed before the next head allocates
+        return d_a, d_tm.reshape(frames, c, joints).transpose(1, 0, 2)
+
+    return mix, backward
 
 
 def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
@@ -703,58 +752,27 @@ def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
     """(C, T, J) -> (C, T, J): sum_n W_n @ (x mixed along T by A_n).
 
     adjacencies[n] is (T, T), row i holding frame i's weights over all
-    frames, and weights[n] is (C, C).  The arithmetic is exactly that of the
-    unfused permute/reshape/matmul/add chain: head n multiplies A_n by the
-    time-major (T, C J) view of x, takes a channel-major copy of the result
-    and maps it by W_n, and the heads are summed in order n = 0..N-1.  The
-    backward rule recomputes each head's mix and sums the heads' time-major
-    input gradients over n = N-1..0 before sending them to x.
+    frames, and weights[n] is (C, C).  The arithmetic is `_graph_mix`'s; the
+    backward rule recomputes each head's mix from x instead of keeping it.
     """
     if x.data.ndim != 3:
         raise ShapeError(f"temporal_graph_mix expects a 3-D input, got {x.shape}")
     if not weights or len(weights) != len(adjacencies):
         raise ShapeError(f"temporal_graph_mix: {len(adjacencies)} adjacencies for "
                          f"{len(weights)} weights")
-    c, frames, joints = x.shape
+    frames = x.shape[1]
     _check_stack("temporal_graph_mix", adjacencies, (frames, frames), "adjacency")
-    _check_stack("temporal_graph_mix", weights, (c, c), "weight")
-    x_data = x.data
-    a_data = [a.data for a in adjacencies]
-    w_data = [w.data for w in weights]
-
-    def time_major() -> np.ndarray:
-        return np.ascontiguousarray(x_data.transpose(1, 0, 2)).reshape(frames, c * joints)
-
-    def mixed(n: int, tm: np.ndarray) -> np.ndarray:
-        by_time = (a_data[n] @ tm).reshape(frames, c, joints)
-        return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
-
-    tm = time_major()
-    acc = w_data[0] @ mixed(0, tm)
-    for n in range(1, len(w_data)):
-        acc += w_data[n] @ mixed(n, tm)
-    out = Tensor(acc.reshape(c, frames, joints))
+    mix, backward = _graph_mix(x.shape, weights)
+    x_data, a_data = x.data, [a.data for a in adjacencies]
+    out = Tensor(mix(x_data, a_data))
     _check_finite(out.data, "temporal_graph_mix")
-    x_cell = x.cell
-    a_cells = [a.cell for a in adjacencies]
-    w_cells = [w.cell for w in weights]
+    x_cell, a_cells = x.cell, [a.cell for a in adjacencies]
 
     def rule(g):
-        g = g.reshape(c, frames * joints)
-        tm = time_major()
-        d_tm = None
-        for n in reversed(range(len(w_data))):
-            _accumulate(w_cells[n], g @ mixed(n, tm).T)
-            d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
-                1, 0, 2).reshape(frames, c * joints)
-            _accumulate(a_cells[n], d_mixed @ tm.T)
-            term = a_data[n].T @ d_mixed
-            if d_tm is None:
-                d_tm = term
-            else:
-                d_tm += term
-            del d_mixed, term  # freed before the next head allocates
-        _accumulate(x_cell, d_tm.reshape(frames, c, joints).transpose(1, 0, 2))
+        d_a, d_x = backward(g, x_data, a_data)
+        for n in reversed(range(len(a_cells))):
+            _accumulate(a_cells[n], d_a[n])
+        _accumulate(x_cell, d_x)
 
     return _record(out, rule)
 

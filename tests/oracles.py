@@ -212,6 +212,16 @@ def chain_spatial_graph_bn_relu(sg, x):
                                 bn.running_var, bn.training)
 
 
+def chain_spatial_tgraph_stage(sg, mhc, x):
+    """The spatial, feature-calculated head, mix and skip-add chain a tgraph
+    layer used to record, and its adjacencies."""
+    s = chain_spatial_graph_bn_relu(sg, x)
+    adjacencies = chain_calculated_heads(s, [h.w_a.value for h in mhc.heads],
+                                         [h.w_b.value for h in mhc.heads])
+    mixed = chain_temporal_graph_mix(s, adjacencies, [w.value for w in mhc.output_maps])
+    return add(s, mixed), adjacencies
+
+
 def chain_channel_projection(f, w2d, stride):
     """The slice/reshape/matmul chain ChannelProjection used to record for a
     (C_out, C_in) weight: every stride-th frame, then a 1x1 channel map."""

@@ -50,7 +50,7 @@ from tegraph.temporal import (
     normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor, _spatial_graph, calculated_heads, temporal_conv
+from tegraph.tensor import Tensor, _calculated_heads, _spatial_graph, temporal_conv
 from tegraph.training import TrainConfig, lr_at, softmax_distribution, train
 
 
@@ -85,7 +85,8 @@ def randomize(params, rng, spread=1.0):
 def test_criterion_1_oracle_equivalence():
     """The forwards the model runs match scalar brute force on 50 random
     instances each: the spatial stages' graph conv, the temporal conv that
-    tc_forward and the residual projections record, and each head kind."""
+    tc_forward and the residual projections record, and each head kind,
+    feature-calculated heads through the helper the tgraph stage runs."""
     with criterion(1, "oracle equivalence at 1e-10 on 5 x 50 instances", budget=10.0):
         rng = np.random.default_rng(101)
 
@@ -121,7 +122,8 @@ def test_criterion_1_oracle_equivalence():
             head = RelevanceHead("feature-calculated", 4, t, j, f"a1.fc{i}")
             randomize(head.parameters(), rng)
             f = rng.normal(size=(4, t, j))
-            got = calculated_heads(Tensor(f), [head.w_a.value], [head.w_b.value])[0].data
+            heads, _ = _calculated_heads(f.shape, [head.w_a.value], [head.w_b.value])
+            got = heads(f)[0]
             want = softmax_rows_oracle(feature_calculated_oracle(head.w_a.value.data,
                                                                  head.w_b.value.data, f))
             assert np.abs(got - want).max() <= 1e-10
@@ -204,8 +206,14 @@ def test_criterion_3_structural_invariants():
             mhc = MultiHeadTemporalConv(3, kind, 4, 5, 3, f"a3.{kind}")
             for head in mhc.heads:
                 randomize(head.parameters(), rng)
-            for adj in build_heads(mhc, Tensor(rng.normal(size=(4, 5, 3)))):
-                assert np.abs(adj.data.sum(axis=1) - 1.0).max() <= 1e-6
+            f = rng.normal(size=(4, 5, 3))
+            if kind == "feature-learned":
+                adjacencies = [adj.data for adj in build_heads(mhc, Tensor(f))]
+            else:
+                adjacencies = _calculated_heads(f.shape, [h.w_a.value for h in mhc.heads],
+                                                [h.w_b.value for h in mhc.heads])[0](f)
+            for adj in adjacencies:
+                assert np.abs(adj.sum(axis=1) - 1.0).max() <= 1e-6
 
         # unnormalized partition subsets reassemble A + I exactly
         graphs = [ntu_graph(), chain_graph(4, 0)]

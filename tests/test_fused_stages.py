@@ -1,7 +1,8 @@
-"""The fused relevance-head, spatial and spatial-temporal stages reproduce
-the op chains they replace bit for bit, outputs and every gradient, a
-temporal block records exactly its conv -> batchnorm -> ReLU chain, and a
-residual projection's one-tap temporal conv is its old slice/matmul chain."""
+"""The fused spatial, spatial-temporal and spatial-tgraph stages and the
+relevance heads' arithmetic reproduce the op chains they replace bit for
+bit, outputs and every gradient, a temporal block records exactly its
+conv -> batchnorm -> ReLU chain, and a residual projection's one-tap
+temporal conv is its old slice/matmul chain."""
 import numpy as np
 import pytest
 
@@ -10,6 +11,7 @@ from oracles import (
     chain_calculated_heads,
     chain_channel_projection,
     chain_spatial_graph_bn_relu,
+    chain_spatial_tgraph_stage,
 )
 from tegraph import gradcheck, precision
 from tegraph.blocks import (
@@ -19,25 +21,27 @@ from tegraph.blocks import (
     sg_forward,
     spatial_graph_bn_relu,
     spatial_temporal_stage,
+    spatial_tgraph_stage,
     tc_forward,
     tc_output_length,
 )
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
-from tegraph.temporal import MultiHeadTemporalConv, build_heads
+from tegraph.model import Network, backbone_config
+from tegraph.temporal import MultiHeadTemporalConv
 from tegraph.tensor import (
     OP_NAMES,
     Parameter,
     Tape,
     Tensor,
+    _calculated_heads,
     add,
-    calculated_heads,
     mul,
     sum_all,
     temporal_conv,
 )
 
-FUSED = ["calculated_heads", "spatial_graph_bn_relu", "spatial_temporal_stage"]
+FUSED = ["spatial_graph_bn_relu", "spatial_temporal_stage", "spatial_tgraph_stage"]
 
 
 def assert_all_equal(fused, chain):
@@ -53,19 +57,26 @@ def drawer(seed):
     return lambda *shape: rng.normal(size=shape).astype(dtype)
 
 
-def run_heads(op, f_data, wa_data, wb_data, seeds, f_grad):
-    """Adjacencies and every gradient of one taped call; f already holds a
+def run_heads(chained, f_data, wa_data, wb_data, seeds, f_grad):
+    """Adjacencies and every gradient of the heads for adjacency gradients
+    `seeds`, through `_calculated_heads` or the taped chain; f already holds a
     gradient, so the order of the heads' contributions to it is compared."""
-    f = Tensor(f_data)
-    f.grad = f_grad.copy()
     w_a, w_b = [Tensor(w) for w in wa_data], [Tensor(w) for w in wb_data]
-    with Tape() as tape:
-        adjacencies = op(f, w_a, w_b)
-        loss = sum_all(mul(adjacencies[0], Tensor(seeds[0])))
-        for adjacency, seed in zip(adjacencies[1:], seeds[1:]):
-            loss = add(loss, sum_all(mul(adjacency, Tensor(seed))))
-        tape.backward(loss)
-    return [a.data for a in adjacencies] + [f.grad] + [w.grad for w in w_a + w_b]
+    if chained:
+        f = Tensor(f_data)
+        f.grad = f_grad.copy()
+        with Tape() as tape:
+            adjacencies = chain_calculated_heads(f, w_a, w_b)
+            loss = sum_all(mul(adjacencies[0], Tensor(seeds[0])))
+            for adjacency, seed in zip(adjacencies[1:], seeds[1:]):
+                loss = add(loss, sum_all(mul(adjacency, Tensor(seed))))
+            tape.backward(loss)
+        adjacencies, f_grad = [a.data for a in adjacencies], f.grad
+    else:
+        heads, backward = _calculated_heads(f_data.shape, w_a, w_b)
+        adjacencies, f_grad = heads(f_data), f_grad.copy()
+        backward(f_data, adjacencies, seeds, f_grad)
+    return adjacencies + [f_grad] + [w.grad for w in w_a + w_b]
 
 
 HEAD_CASES = [
@@ -87,8 +98,8 @@ def test_calculated_heads_is_bit_identical_to_the_chain(mode, heads, channels, r
         wa = [draw(reduced, channels) for _ in range(heads)]
         wb = [draw(reduced, channels) for _ in range(heads)]
         seeds = [draw(frames, frames) for _ in range(heads)]
-        fused = run_heads(calculated_heads, f, wa, wb, seeds, f_grad)
-        chain = run_heads(chain_calculated_heads, f, wa, wb, seeds, f_grad)
+        fused = run_heads(False, f, wa, wb, seeds, f_grad)
+        chain = run_heads(True, f, wa, wb, seeds, f_grad)
         assert fused[0].dtype == precision.dtype()
     assert_all_equal(fused, chain)
 
@@ -305,6 +316,87 @@ def test_spatial_temporal_stage_is_bit_identical_to_the_chain(training, mode, c_
     assert_all_equal(fused, chain)
 
 
+def run_tgraph_layer(fused, c_in, c_out, frames, joints, heads, bodies, training):
+    """Output, adjacencies, every gradient and the running buffers of a
+    tgraph layer's spatial stage, heads, mix and skip add, fused into one
+    record per body or chained, for `bodies` inputs through shared weights on
+    one tape; each x already holds a gradient, so the order of the stage's
+    contributions to it is compared as well."""
+    draw = drawer(c_in + c_out + frames + heads + bodies)
+    graph = ntu_graph() if joints == 25 else chain_graph(joints, 0)
+    sg = SGBlock(c_in, c_out, normalized_partitions(graph), "l.sg", seed=3)
+    mhc = MultiHeadTemporalConv(heads, "feature-calculated", c_out, frames, joints, "l.tgc",
+                                seed=3)
+    params = sg.parameters() + mhc.parameters()
+    for p in params:  # the output maps W_t move off zero
+        p.assign(p.value.data + 0.2 * draw(*p.shape))
+    sg.bn.running_mean += 0.1 * draw(c_out)
+    sg.bn.running_var += np.abs(draw(c_out))
+    sg.bn.training = training
+    xs = [Tensor(draw(c_in, frames, joints)) for _ in range(bodies)]
+    for x in xs:
+        x.grad = draw(c_in, frames, joints)
+    seeds = [draw(c_out, frames, joints) for _ in range(bodies)]
+    stage = spatial_tgraph_stage if fused else chain_spatial_tgraph_stage
+    with Tape() as tape:
+        results = [stage(sg, mhc, x) for x in xs]
+        loss = sum_all(mul(results[0][0], Tensor(seeds[0])))
+        for (out, _), seed in zip(results[1:], seeds[1:]):
+            loss = add(loss, sum_all(mul(out, Tensor(seed))))
+        tape.backward(loss)
+    arrays = []
+    for out, adjacencies in results:
+        arrays += [out.data] + [a if fused else a.data for a in adjacencies]
+    return (arrays + [x.grad for x in xs] + [p.grad for p in params]
+            + [buf for _, buf in sg.bn.buffers()])
+
+
+TGRAPH_CASES = [
+    # (c_in, c_out, frames, joints, heads, bodies)
+    (3, 4, 7, 4, 1, 1),
+    (3, 4, 7, 4, 4, 2),
+    (4, 8, 6, 3, 4, 1),
+    (8, 8, 5, 4, 1, 2),
+    (4, 4, 1, 3, 4, 2),   # T = 1
+    (64, 64, 300, 25, 4, 1),   # a capture-scale layer
+]
+
+
+@pytest.mark.parametrize("training", [True, False])
+@pytest.mark.parametrize("mode", ["verify", "train"])
+@pytest.mark.parametrize("c_in,c_out,frames,joints,heads,bodies", TGRAPH_CASES)
+def test_spatial_tgraph_stage_is_bit_identical_to_the_chain(training, mode, c_in, c_out,
+                                                            frames, joints, heads, bodies):
+    case = (c_in, c_out, frames, joints, heads, bodies, training)
+    with precision.scoped_mode(mode):
+        fused = run_tgraph_layer(True, *case)
+        chain = run_tgraph_layer(False, *case)
+        assert fused[0].dtype == precision.dtype()
+    assert_all_equal(fused, chain)
+
+
+def test_dump_adjacency_collects_the_chains_adjacencies():
+    """The collector `dump-adjacency` reads gets, from a replace_all model in
+    eval mode, each tgraph layer's adjacencies as the chain builds them from
+    that layer's input."""
+    network = Network(backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True))
+    network.set_training(False)
+    sample = np.random.default_rng(9).normal(size=(3, 8, 25, 1))
+    collector = []
+    network.forward_sample(sample, collector=collector)
+    expected = []
+    f = network._normalize_input(sample[..., 0])
+    for layer in network.layers:
+        if layer.tgc is not None:
+            _, adjacencies = chain_spatial_tgraph_stage(layer.sg, layer.tgc, f)
+            expected += [(f"{layer.identifier}.head{n}", adj.data)
+                         for n, adj in enumerate(adjacencies)]
+        f = layer(f)
+    assert [name for name, _ in collector] == [name for name, _ in expected]
+    assert len(collector) == 7 * 4
+    assert_all_equal([adj for _, adj in collector], [adj for _, adj in expected])
+
+
 @pytest.mark.parametrize("name", FUSED)
 def test_fused_stages_are_registered_and_gradient_checked(name):
     assert name in OP_NAMES and name in gradcheck.OP_CHECKS
@@ -325,8 +417,8 @@ def test_each_stage_is_one_record():
     with Tape() as tape:
         s = sg_forward(sg, Tensor(rng.normal(size=(3, 6, 4))))
         assert op_names(tape) == ["spatial_graph_bn_relu"]
-        adjacencies = build_heads(mhc, s)
-        assert op_names(tape)[1:] == ["calculated_heads"] and len(adjacencies) == 3
+        _, adjacencies = spatial_tgraph_stage(sg, mhc, Tensor(rng.normal(size=(3, 6, 4))))
+        assert op_names(tape)[1:] == ["spatial_tgraph_stage"] and len(adjacencies) == 3
         tc_forward(tc, s)
         assert op_names(tape)[2:] == ["temporal_conv", "batchnorm", "relu"]
         spatial_temporal_stage(sg, tc, Tensor(rng.normal(size=(3, 6, 4))))
@@ -336,14 +428,15 @@ def test_each_stage_is_one_record():
 def test_validation():
     f = Tensor(np.zeros((4, 5, 3)))
     w = Tensor(np.zeros((2, 4)))
-    with pytest.raises(ShapeError, match="3-D"):
-        calculated_heads(Tensor(np.zeros((4, 5))), [w], [w])
     with pytest.raises(ShapeError, match="1 a-projections for 2"):
-        calculated_heads(f, [w], [w, w])
+        _calculated_heads(f.shape, [w], [w, w])
     with pytest.raises(ShapeError, match="b-projection 1"):
-        calculated_heads(f, [w, w], [w, Tensor(np.zeros((2, 3)))])
+        _calculated_heads(f.shape, [w, w], [w, Tensor(np.zeros((2, 3)))])
     sg = SGBlock(4, 8, normalized_partitions(chain_graph(3, 0)), "t.sg")
     with pytest.raises(ShapeError, match="t.tc: takes 6 channels, t.sg makes 8"):
         spatial_temporal_stage(sg, TCBlock(6, 3, 1, "t.tc"), f)
     with pytest.raises(ShapeError, match="t.sg: expected"):
         spatial_temporal_stage(sg, TCBlock(8, 3, 1, "t.tc"), Tensor(np.zeros((3, 5, 3))))
+    mhc = MultiHeadTemporalConv(2, "feature-calculated", 4, 5, 3, "t.tgc")
+    with pytest.raises(ShapeError, match="t.tgc: takes 4 channels, t.sg makes 8"):
+        spatial_tgraph_stage(sg, mhc, f)

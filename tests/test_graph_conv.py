@@ -1,8 +1,8 @@
 """The graph convolutions reproduce the unfused op chains bit for bit.
 
-The spatial graph conv is the arithmetic `tensor._spatial_graph` hands both
-spatial-stage records; those stages and the relevance heads are tested in
-test_fused_stages.py.
+The spatial graph conv is the arithmetic `tensor._spatial_graph` hands the
+three spatial-stage records; those stages and the relevance heads are
+tested in test_fused_stages.py.
 """
 import numpy as np
 import pytest
@@ -161,19 +161,18 @@ def test_every_layer_records_one_op_per_graph_stage():
         network.loss(network.forward_sample(sample), 1)
     names = op_names(tape)
     tgraph_layers = sum(spec.mode != "tc" for spec in config.layers)
-    assert names.count("spatial_graph_bn_relu") == tgraph_layers
+    assert names.count("spatial_tgraph_stage") == tgraph_layers == 7
     assert names.count("spatial_temporal_stage") == len(config.layers) - tgraph_layers == 2
-    assert names.count("calculated_heads") == tgraph_layers
-    assert names.count("temporal_graph_mix") == tgraph_layers == 7
+    assert not {"spatial_graph_bn_relu", "temporal_graph_mix"} & set(names)
 
 
 # Tape records of one training sample at T=8.  Every op records once per
 # call, so the count depends on the model's structure, not on T.
 LONGRANGE_LAYERS = [LayerSpec(3, 12, 1, "tc", 3), LayerSpec(12, 12, 1, "tgraph", 3)]
 RECORD_CASES = {
-    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 50),
-    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 65),
-    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 93),
+    "backbone": (backbone_config(2, fixed_length=8, max_bodies=1), 47),
+    "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 44),
+    "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 87),
     "longrange": (ModelConfig(layers=LONGRANGE_LAYERS, num_classes=2, num_joints=5,
                               fixed_length=8, heads=2, relevance="feature-learned"), 43),
 }
@@ -195,9 +194,11 @@ def test_records_per_training_sample(name):
     names = record_training_sample(config)
     assert len(names) == expected
     tc_layers = sum(spec.mode == "tc" for spec in config.layers)
+    tgraph_layers = (len(config.layers) - tc_layers) * config.max_bodies
+    calculated = config.relevance == "feature-calculated"
     assert names.count("spatial_temporal_stage") == tc_layers * config.max_bodies
-    assert (names.count("spatial_graph_bn_relu")
-            == (len(config.layers) - tc_layers) * config.max_bodies)
+    assert names.count("spatial_tgraph_stage") == tgraph_layers * calculated
+    assert names.count("spatial_graph_bn_relu") == tgraph_layers * (not calculated)
 
 
 def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
@@ -211,11 +212,12 @@ def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
 
 
 def test_the_spatial_graph_conv_is_no_op_of_its_own():
-    """Only the two spatial-stage records run the graph conv; gradcheck has no
-    separate entry for it."""
+    """Only the three spatial-stage records run the graph conv; gradcheck has
+    no separate entry for it."""
     assert len(OP_NAMES) == len(gradcheck.OP_CHECKS) == 20
     assert "spatial_graph_conv" not in OP_NAMES
-    assert {"spatial_graph_bn_relu", "spatial_temporal_stage"} <= set(OP_NAMES)
+    assert {"spatial_graph_bn_relu", "spatial_temporal_stage",
+            "spatial_tgraph_stage"} <= set(OP_NAMES)
     assert main(["gradcheck", "--op", "spatial_graph_conv"]) == 2
 
 

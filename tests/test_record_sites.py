@@ -1,15 +1,14 @@
-"""Only `tensor._record` and `tensor.calculated_heads` touch the tape.
+"""Only `tensor._record` touches the tape.
 
-Every other op records its backward rule through `_record(out, rule)`, so
-the skip-when-no-gradient guard and the rule's op name, by which records
-are counted, live in one place.  `calculated_heads` has one output per head
-and skips heads one by one, so it records its rule itself.
+Every op records its backward rule through `_record(out, rule)`, so the
+skip-when-no-gradient guard and the rule's op name, by which records are
+counted, live in one place.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-ALLOWED = {("tensor.py", "_record"), ("tensor.py", "calculated_heads")}
+ALLOWED = {("tensor.py", "_record")}
 
 
 def tape_calls(tree: ast.Module) -> list[tuple[str, int]]:
@@ -27,7 +26,7 @@ def tape_calls(tree: ast.Module) -> list[tuple[str, int]]:
     return found
 
 
-def test_only_record_and_calculated_heads_touch_the_tape():
+def test_only_record_touches_the_tape():
     stray, seen = [], set()
     for path in sorted((ROOT / "src" / "tegraph").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

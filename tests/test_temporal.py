@@ -19,7 +19,7 @@ from tegraph.temporal import (
     normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor, calculated_heads
+from tegraph.tensor import Tensor, _calculated_heads
 
 
 def calc_head(channels=4, frames=5, joints=3, seed=0, name="h"):
@@ -30,10 +30,15 @@ def learned_head(channels=4, frames=5, joints=3, seed=0, name="h"):
     return RelevanceHead("feature-learned", channels, frames, joints, name, seed)
 
 
+def calc_adjacencies(heads, f):
+    """The row-stochastic adjacencies feature-calculated `heads` build on f."""
+    adjacencies, _ = _calculated_heads(f.shape, [h.w_a.value for h in heads],
+                                       [h.w_b.value for h in heads])
+    return adjacencies(f)
+
+
 def calc_adjacency(head, f):
-    """The row-stochastic adjacency `calculated_heads` builds for one head."""
-    [adjacency] = calculated_heads(Tensor(f), [head.w_a.value], [head.w_b.value])
-    return adjacency.data
+    return calc_adjacencies([head], f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -116,9 +121,12 @@ def test_head_validation():
         RelevanceHead("nope", 4, 5, 3, "h")
     with pytest.raises(ConfigError, match="divisible"):
         calc_head(channels=6)
-    mhc = MultiHeadTemporalConv(1, "feature-calculated", 4, 5, 3, "m")
+    mhc = MultiHeadTemporalConv(1, "feature-learned", 4, 5, 3, "m")
     with pytest.raises(ShapeError, match="head built for 4"):
         build_heads(mhc, Tensor(np.zeros((5, 5, 3))))  # wrong channel count
+    calculated = MultiHeadTemporalConv(1, "feature-calculated", 4, 5, 3, "m")
+    with pytest.raises(ConfigError, match="only inside blocks.spatial_tgraph_stage"):
+        build_heads(calculated, Tensor(np.zeros((4, 5, 3))))
     bound = learned_head(frames=5, joints=3)
     with pytest.raises(ShapeError, match="bound"):
         feature_learned(bound, Tensor(np.zeros((4, 6, 3))))
@@ -169,18 +177,25 @@ def make_mhc(heads=2, kind="feature-calculated", channels=4, frames=5, joints=3,
     return MultiHeadTemporalConv(heads, kind, channels, frames, joints, "t.tgc", seed)
 
 
+def built_adjacencies(mhc, f):
+    """mhc's adjacencies on the feature map f, as Tensors."""
+    if mhc.heads[0].kind == "feature-learned":
+        return build_heads(mhc, Tensor(f))
+    return [Tensor(a) for a in calc_adjacencies(mhc.heads, f)]
+
+
 def test_output_maps_start_at_zero_so_the_stage_is_silent():
-    mhc = make_mhc()
-    f = Tensor(np.random.default_rng(6).normal(size=(4, 5, 3)))
-    out = temporal_graph_conv(mhc, f, build_heads(mhc, f))
-    np.testing.assert_array_equal(out.data, 0.0)
+    for kind in ("feature-calculated", "feature-learned"):
+        mhc = make_mhc(kind=kind)
+        f = np.random.default_rng(6).normal(size=(4, 5, 3))
+        out = temporal_graph_conv(mhc, Tensor(f), built_adjacencies(mhc, f))
+        np.testing.assert_array_equal(out.data, 0.0)
 
 
 def test_built_adjacencies_are_row_stochastic():
     for kind in ("feature-calculated", "feature-learned"):
         mhc = make_mhc(kind=kind, heads=3)
-        f = Tensor(np.random.default_rng(7).normal(size=(4, 5, 3)))
-        adjacencies = build_heads(mhc, f)
+        adjacencies = built_adjacencies(mhc, np.random.default_rng(7).normal(size=(4, 5, 3)))
         assert len(adjacencies) == 3
         for adj in adjacencies:
             assert adj.shape == (5, 5)
@@ -247,15 +262,14 @@ def test_time_constant_features_are_preserved_by_mixing():
     mhc.output_maps[0].assign(np.eye(4))
     frame = np.random.default_rng(12).normal(size=(4, 1, 3))
     f = np.repeat(frame, 5, axis=1)
-    adjacencies = build_heads(mhc, Tensor(f))
-    got = temporal_graph_conv(mhc, Tensor(f), adjacencies).data
+    got = temporal_graph_conv(mhc, Tensor(f), built_adjacencies(mhc, f)).data
     np.testing.assert_allclose(got, f, rtol=0, atol=1e-12)
 
 
 def test_multi_head_validation():
     with pytest.raises(ConfigError, match="head"):
         make_mhc(heads=0)
-    mhc = make_mhc(heads=2)
+    mhc = make_mhc(heads=2, kind="feature-learned")
     f = Tensor(np.zeros((4, 5, 3)))
     with pytest.raises(ShapeError, match="adjacencies"):
         temporal_graph_conv(mhc, f, build_heads(mhc, f)[:1])
