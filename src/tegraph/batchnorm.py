@@ -49,6 +49,9 @@ from . import init, precision
 from .errors import ShapeError
 from .tensor import GradCell, Parameter, Tensor, _accumulate, _check_finite, _record
 
+EPS = 1e-5  # added to the variance under the square root
+MOMENTUM = 0.1  # the weight of a batch's statistics in one running-buffer step
+
 
 def _divide(total: np.ndarray, count: np.intp) -> np.ndarray:
     """total / count in place, rounded as np.mean and np.var round it."""
@@ -78,8 +81,7 @@ def _affine(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
 
 
 def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
-               running_var: np.ndarray, training: bool, eps: float, momentum: float,
-               in_place: bool = False):
+               running_var: np.ndarray, training: bool, in_place: bool = False):
     """The forward arithmetic: (output, xhat, mean, sigma, scale).
 
     mean is per channel in broadcast shape, sigma per channel, and scale is
@@ -101,15 +103,15 @@ def _normalize(x: np.ndarray, gamma: Tensor, beta: Tensor, running_mean: np.ndar
         mean = _divide(x.sum(axis=axes, keepdims=True), count)
         xhat = np.subtract(x, mean, out=buffer)
         var = _divide(np.square(xhat).sum(axis=axes), count)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean.reshape(channels)
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - MOMENTUM
+        running_mean += MOMENTUM * mean.reshape(channels)
+        running_var *= 1.0 - MOMENTUM
+        running_var += MOMENTUM * var
     else:
         mean = running_mean.reshape(bshape).copy()  # a rule may keep it; the buffer moves
         xhat = np.subtract(x, mean, out=buffer)
         var = running_var
-    sigma = np.sqrt(var + eps)
+    sigma = np.sqrt(var + EPS)
     xhat /= sigma.reshape(bshape)
     out = _affine(xhat, gamma.data, beta.data, out=buffer)
     _check_finite(out, "batchnorm")
@@ -156,18 +158,10 @@ def _relu_backward(g: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, beta: np.
     return dx
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    eps: float = 1e-5,
-    momentum: float = 0.1,
-) -> Tensor:
+def batchnorm(x: Tensor, gamma: Tensor, beta: Tensor, running_mean: np.ndarray,
+              running_var: np.ndarray, training: bool) -> Tensor:
     out_data, xhat, _, _, scale = _normalize(x.data, gamma, beta, running_mean, running_var,
-                                             training, eps, momentum)
+                                             training)
     cells = (beta.cell, gamma.cell, x.cell)
 
     def rule(g):
@@ -180,11 +174,9 @@ def batchnorm(
 class BatchNorm:
     """Stateful wrapper owning scale/shift parameters and running buffers."""
 
-    def __init__(self, channels: int, identifier: str, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, channels: int, identifier: str):
         self.channels = channels
         self.identifier = identifier
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(init.ones((channels,)), identifier + ".gamma")
         self.beta = Parameter(init.zeros((channels,)), identifier + ".beta")
         self.running_mean = init.zeros((channels,))
@@ -192,16 +184,8 @@ class BatchNorm:
         self.training = True
 
     def __call__(self, x: Tensor) -> Tensor:
-        return batchnorm(
-            x,
-            self.gamma.value,
-            self.beta.value,
-            self.running_mean,
-            self.running_var,
-            self.training,
-            self.eps,
-            self.momentum,
-        )
+        return batchnorm(x, self.gamma.value, self.beta.value, self.running_mean,
+                         self.running_var, self.training)
 
     def parameters(self) -> list[Parameter]:
         return [self.gamma, self.beta]

@@ -6,9 +6,11 @@ learnable mask, with a per-subset 1x1 channel map:
 
     out = sum_k  W_k @ f @ (P_k * M_k)^T
 
-The gates P_k * M_k are formed inside `tensor._spatial_graph`, the
-arithmetic of the graph conv, whose backward hands mask k its gradient
-dA_k * P_k.
+The gates P_k * M_k are formed inside `_spatial_graph`, the arithmetic of
+the graph conv, whose backward hands mask k its gradient dA_k * P_k.  It
+is no record of its own: `_spatial_stage` runs it, forward and backward,
+inside the three spatial-stage records, and hands the input and mask
+gradients to their cells as they are (see "Handover" in tensor.py).
 
 The temporal block is a K_t x 1 convolution along T with channel mixing,
 symmetric zero padding, output length ceil(T / stride).  Both blocks carry
@@ -17,34 +19,33 @@ the one `spatial_graph_bn_relu` record, while `tc_forward` records the
 temporal conv, the batchnorm and the ReLU one op each.  A residual unit's
 projection skip path is a one-tap `temporal_conv`.  Where the temporal
 block reads the spatial output s directly (a tc-mode layer),
-`spatial_temporal_stage` records both blocks as one record that keeps
-neither s nor the temporal conv output.  Where a layer's feature-calculated
-heads and their temporal graph mix read s (a tgraph or both layer),
-`spatial_tgraph_stage` records the spatial stage, the heads, the mix and
-the skip add s + mix(s) as one record that keeps its adjacencies but not
-s.  The spatial stage's arithmetic, forward and backward, lives only in
-`_spatial_stage`, which all three fused records call, and every fused
-bn -> ReLU backward is `batchnorm._relu_backward`.  The records go on the
-tape through `tensor._record`.  Oracle tests reach the raw linear maps
-through `tensor._spatial_graph`, `tensor._calculated_heads` and
+`spatial_temporal_stage` records both blocks as one record.  Where a
+layer's feature-calculated heads and their temporal graph mix read s (a
+tgraph or both layer), `spatial_tgraph_stage` records the spatial stage,
+the heads, the mix and the skip add s + mix(s) as one record, running
+`temporal._calculated_heads` and `temporal._graph_mix`.  Each record's
+docstring says what its rule keeps; none keeps s.  Every fused bn -> ReLU
+backward is `batchnorm._relu_backward`.  Oracle tests reach the raw linear
+maps through `_spatial_graph`, `temporal._calculated_heads` and
 `temporal_conv`, the code the stages run.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from . import init
+from . import init, precision
 from .batchnorm import BatchNorm, _affine, _center, _normalize, _relu_backward
 from .errors import ConfigError, ShapeError
-from .temporal import MultiHeadTemporalConv
+from .temporal import MultiHeadTemporalConv, _calculated_heads, _graph_mix
 from .tensor import (
     Parameter,
     Tensor,
-    _calculated_heads,
+    _accumulate,
     _check_finite,
-    _graph_mix,
+    _check_stack,
     _record,
-    _spatial_graph,
     _temporal,
     relu,
     temporal_conv,
@@ -85,6 +86,63 @@ class SGBlock:
         return [self.bn]
 
 
+def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
+                   masks: Sequence[Tensor]):
+    """Check a spatial graph conv of `x` and return its arithmetic as closures.
+
+    weights[k] is (C_out, C_in); partitions[k] (cast to the current
+    precision) and masks[k] are (J, J) and destination-major: output joint
+    i takes sum_j A_k[i, j] x[..., j] for the gate A_k = P_k * M_k.
+    `conv()` is the (C_out, T, J) output sum_k (W_k @ x) @ A_k^T over
+    k = 0..K-1, the channel map as (C_out T, J) times a contiguous copy of
+    A_k^T, bit for bit the unfused mul/reshape/matmul/permute/add chain;
+    `backward(g)` sends the output gradient `g` on to mask k (dA_k * P_k),
+    weight k and x, k = K-1..0, rebuilding each channel map as it reaches
+    it.  The closures hold x, the weights, the partitions and the gates,
+    never a Tensor.
+    """
+    if x.data.ndim != 3:
+        raise ShapeError(f"spatial graph conv expects a 3-D input, got {x.shape}")
+    if not weights or not len(weights) == len(partitions) == len(masks):
+        raise ShapeError(f"spatial graph conv: {len(weights)} weights for "
+                         f"{len(partitions)} partitions and {len(masks)} masks")
+    c_in, frames, joints = x.shape
+    c_out = weights[0].shape[0]
+    _check_stack("spatial graph conv", weights, (c_out, c_in), "weight")
+    _check_stack("spatial graph conv", masks, (joints, joints), "mask")
+    p_data = [np.asarray(p, dtype=precision.dtype()) for p in partitions]
+    _check_stack("spatial graph conv", p_data, (joints, joints), "partition")
+    flat = x.data.reshape(c_in, frames * joints)
+    w_data = [w.data for w in weights]
+    a_data = [p * m.data for p, m in zip(p_data, masks)]
+    x_cell = x.cell
+    w_cells = [w.cell for w in weights]
+    m_cells = [m.cell for m in masks]
+
+    def channel_map(k: int) -> np.ndarray:
+        return (w_data[k] @ flat).reshape(c_out * frames, joints)
+
+    def mixer(k: int) -> np.ndarray:
+        return np.ascontiguousarray(a_data[k].T)
+
+    def conv() -> np.ndarray:
+        acc = channel_map(0) @ mixer(0)
+        for k in range(1, len(w_data)):
+            acc += channel_map(k) @ mixer(k)
+        return acc.reshape(c_out, frames, joints)
+
+    def backward(g: np.ndarray) -> None:
+        g = g.reshape(c_out * frames, joints)
+        for k in reversed(range(len(w_data))):
+            _accumulate(m_cells[k], (channel_map(k).T @ g).T * p_data[k], fresh=True)
+            d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
+            _accumulate(w_cells[k], d_map @ flat.T)
+            _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
+                        fresh=True)
+
+    return conv, backward
+
+
 def _spatial_stage(sg: SGBlock, f: Tensor):
     """relu(bn(graph conv)) of f through `sg`: the output array and its backward.
 
@@ -109,8 +167,7 @@ def _spatial_stage(sg: SGBlock, f: Tensor):
     bn = sg.bn
     gamma, beta, training = bn.gamma.value, bn.beta.value, bn.training
     out, _, mean, sigma, scale = _normalize(conv_out, gamma, beta, bn.running_mean,
-                                            bn.running_var, training, bn.eps, bn.momentum,
-                                            in_place=True)
+                                            bn.running_var, training, in_place=True)
     gamma_cell, beta_cell, gamma, beta = gamma.cell, beta.cell, gamma.data, beta.data
 
     def backward(g_of) -> None:
@@ -231,8 +288,7 @@ def spatial_temporal_stage(sg: SGBlock, tc: TCBlock, f: Tensor) -> Tensor:
     bn = tc.bn
     tc_gamma, tc_beta, training = bn.gamma.value, bn.beta.value, bn.training
     out_data, _, mean, sigma, scale = _normalize(t_data, tc_gamma, tc_beta, bn.running_mean,
-                                                 bn.running_var, training, bn.eps, bn.momentum,
-                                                 in_place=True)
+                                                 bn.running_var, training, in_place=True)
     tc_gamma_cell, tc_beta_cell = tc_gamma.cell, tc_beta.cell
     tc_gamma, tc_beta = tc_gamma.data, tc_beta.data
     gamma, beta = sg.bn.gamma.value.data, sg.bn.beta.value.data
@@ -274,7 +330,7 @@ def spatial_tgraph_stage(sg: SGBlock, mhc: MultiHeadTemporalConv,
     mix, mix_backward = _graph_mix(s.shape, [w.value for w in mhc.output_maps])
     adjacencies = heads(s)
     out = mix(s, adjacencies)
-    _check_finite(out, "temporal_graph_mix")
+    _check_finite(out, "temporal_graph_conv")
     out += s
     _check_finite(out, "add")
     del s

@@ -146,7 +146,7 @@ def network_from_checkpoint(path) -> tuple[Network, dict, dict[str, np.ndarray]]
         precision.set_mode("train" if dtypes.pop() == np.float32 else "verify")
     try:
         network = Network(ModelConfig.from_dict(manifest["config"]))
-    except (KeyError, TypeError, ValueError, ConfigError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError) as exc:
         raise DataError(f"{path}: bad checkpoint config: {exc!r}")
     try:
         momentum = restore_network(network, manifest, tensors)

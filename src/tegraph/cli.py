@@ -222,19 +222,22 @@ def log_blas(network: Network) -> None:
 
 def cmd_preprocess(args) -> int:
     source = Path(args.input)
-    if source.is_dir():
-        labeled, graph = preprocess_skeleton_dir(
-            source, args.frames, split=args.split, lo=args.motion_lo,
-            hi=args.motion_hi, max_bodies=args.bodies,
-        )
-    elif source.suffix == ".json":
-        try:
-            spec = json.loads(source.read_bytes())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DataError(f"{source}: bad JSON spec: {exc}")
-        labeled, graph = generate_synthetic(spec)
-    else:
-        raise ConfigError(f"{source}: expected a directory of .skeleton files or a .json spec")
+    try:
+        if source.is_dir():
+            labeled, graph = preprocess_skeleton_dir(
+                source, args.frames, split=args.split, lo=args.motion_lo,
+                hi=args.motion_hi, max_bodies=args.bodies,
+            )
+        elif source.suffix == ".json":
+            try:
+                spec = json.loads(source.read_bytes())
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise DataError(f"{source}: bad JSON spec: {exc}")
+            labeled, graph = generate_synthetic(spec)
+        else:
+            raise ConfigError(f"{source}: expected a directory of .skeleton files or a .json spec")
+    except MemoryError as exc:
+        raise ConfigError(f"the dataset does not fit in memory: {exc}")
     manifest = write_dataset(args.out, labeled, graph)
     print(f"wrote {len(labeled)} samples to {manifest}")
     return 0

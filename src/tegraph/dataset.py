@@ -161,6 +161,9 @@ def write_dataset(out_dir, labeled: list[tuple[SkeletonSequence, str]],
             raise DataError(f"duplicate sample id {seq.source_id}")
         seen.add(seq.source_id)
         streams = all_streams(seq, graph)
+        for kind in KINDS:
+            if not np.all(np.isfinite(streams[kind].data)):
+                raise DataError(f"sample {seq.source_id}: non-finite values in its {kind} stream")
         files = {}
         for kind in KINDS:
             rel = f"streams/{seq.source_id}.{kind}.tegt"

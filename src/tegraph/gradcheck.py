@@ -28,19 +28,19 @@ from .batchnorm import batchnorm
 from .blocks import (
     SGBlock,
     TCBlock,
+    _spatial_graph,
     spatial_graph_bn_relu,
     spatial_temporal_stage,
     spatial_tgraph_stage,
     tc_output_length,
 )
 from .errors import NumericError
-from .temporal import MultiHeadTemporalConv
+from .temporal import MultiHeadTemporalConv, temporal_graph_conv
 from .tensor import (
     OP_NAMES,
     Parameter,
     Tape,
     Tensor,
-    _spatial_graph,
     add,
     matmul,
     mul,
@@ -56,7 +56,6 @@ from .tensor import (
     sum_all,
     sum_axis,
     temporal_conv,
-    temporal_graph_mix,
 )
 
 
@@ -338,14 +337,16 @@ def _check_temporal_conv(rng):
                                                                        ("kernel", kernel)]
 
 
-def _check_temporal_graph_mix(rng):
+def _check_temporal_graph_conv(rng):
+    """Two heads' mix of a (3, 5, 2) input, the output maps drawn off zero."""
+    mhc = MultiHeadTemporalConv(2, "feature-learned", 3, 5, 2, "tgc")
+    for w_t in mhc.output_maps:
+        w_t.assign(rng.normal(size=w_t.shape))
     x = Tensor(rng.normal(size=(3, 5, 2)))
     adjacencies = [Tensor(rng.normal(size=(5, 5))) for _ in range(2)]
-    weights = [Tensor(rng.normal(size=(3, 3))) for _ in range(2)]
     w = Tensor(rng.normal(size=(3, 5, 2)))
-    wrt = [("x", x), *((f"a{n}", t) for n, t in enumerate(adjacencies)),
-           *((f"w{n}", t) for n, t in enumerate(weights))]
-    return (lambda: sum_all(mul(temporal_graph_mix(x, adjacencies, weights), w))), wrt
+    wrt = [("x", x), *((f"a{n}", t) for n, t in enumerate(adjacencies)), *mhc.output_maps]
+    return (lambda: sum_all(mul(temporal_graph_conv(mhc, x, adjacencies), w))), wrt
 
 
 OP_CHECKS = {
@@ -368,7 +369,7 @@ OP_CHECKS = {
     "spatial_graph_bn_relu": lambda rng: _check_spatial_stage(rng, ()),
     "spatial_temporal_stage": lambda rng: _check_spatial_stage(rng, (1, 2)),
     "spatial_tgraph_stage": _check_spatial_tgraph_stage,
-    "temporal_graph_mix": _check_temporal_graph_mix,
+    "temporal_graph_conv": _check_temporal_graph_conv,
 }
 
 assert sorted(OP_CHECKS) == sorted(OP_NAMES), "op registry and check table disagree"

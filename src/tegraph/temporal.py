@@ -1,4 +1,4 @@
-"""Temporal relation graphs: relevance heads, normalization, graph conv.
+"""Temporal relation graphs: relevance heads and the temporal graph conv.
 
 A head turns a feature map (C, T, J) into a raw T x T score matrix; row
 softmax turns scores into a row-stochastic temporal adjacency; the graph
@@ -21,8 +21,20 @@ Two head kinds:
 
 The per-head output maps W_t start at zero, making a freshly inserted
 temporal-graph stage an exact no-op inside its surrounding residual.
+
+The graph arithmetic lives here as closure helpers: `_calculated_heads`
+(every feature-calculated head of a layer, softmax included) and
+`_graph_mix` (the multi-head frame mixing).  Feature-learned heads are op
+chains (`build_heads`), and `temporal_graph_conv` records their layer's
+mix as one op.  Feature-calculated heads and their mix run inside the
+layer's one `blocks.spatial_tgraph_stage` record instead.  The heads hand
+their projection gradients to the cells as they are (see "Handover" in
+tensor.py); `temporal_graph_conv` copies its adjacency gradients and its
+input gradient, a transposed view.
 """
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -31,14 +43,18 @@ from .errors import ConfigError, ShapeError
 from .tensor import (
     Parameter,
     Tensor,
+    _accumulate,
+    _check_finite,
+    _check_stack,
+    _record,
+    _softmax,
+    _softmax_grad,
     add,
-    constant,
     matmul,
     mul,
     permute,
     reshape,
     softmax_rows,
-    temporal_graph_mix,
 )
 
 HEAD_KINDS = ("feature-calculated", "feature-learned")
@@ -91,35 +107,23 @@ class RelevanceHead:
         return [self.c_conv, self.j_conv, self.t_conv, self.t_bias]
 
 
-def _check_feature(head: RelevanceHead, f: Tensor) -> tuple[int, int, int]:
+def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
+    """Squeeze to one value per frame, then emit a learned position-anchored map."""
     if f.data.ndim != 3:
         raise ShapeError(f"{head.identifier}: expected (C, T, J), got {f.shape}")
     c, t, j = f.shape
     if c != head.channels:
         raise ShapeError(f"{head.identifier}: got {c} channels, head built for {head.channels}")
-    if head.kind == "feature-learned" and (t != head.frames or j != head.joints):
+    if t != head.frames or j != head.joints:
         raise ShapeError(
             f"{head.identifier}: got T={t}, J={j}; this head is bound to "
             f"T={head.frames}, J={head.joints}"
         )
-    return c, t, j
-
-
-def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
-    """Squeeze to one value per frame, then emit a learned position-anchored map."""
-    c, t, j = _check_feature(head, f)
     squeezed = reshape(matmul(head.c_conv.value, reshape(f, (c, t * j))), (t, j))
     v = matmul(squeezed, head.j_conv.value)              # (T, 1)
-    v_rows = matmul(constant(np.ones((t, 1))), permute(v, (1, 0)))   # v[j] broadcast per row
-    bias = matmul(head.t_bias.value, constant(np.ones((1, t))))      # b[i] broadcast per column
+    v_rows = matmul(Tensor(np.ones((t, 1))), permute(v, (1, 0)))   # v[j] broadcast per row
+    bias = matmul(head.t_bias.value, Tensor(np.ones((1, t))))      # b[i] broadcast per column
     return add(mul(head.t_conv.value, v_rows), bias)
-
-
-def normalize(raw: Tensor) -> Tensor:
-    """Row softmax: each frame's outgoing relevance sums to one."""
-    if raw.data.ndim != 2 or raw.shape[0] != raw.shape[1]:
-        raise ShapeError(f"raw scores must be square, got {raw.shape}")
-    return softmax_rows(raw)
 
 
 class MultiHeadTemporalConv:
@@ -159,11 +163,125 @@ def build_heads(mhc: MultiHeadTemporalConv, f: Tensor) -> list[Tensor]:
     if mhc.heads[0].kind != "feature-learned":
         raise ConfigError(f"{mhc.identifier}: feature-calculated heads run only inside "
                           f"blocks.spatial_tgraph_stage")
-    return [normalize(feature_learned(head, f)) for head in mhc.heads]
+    return [softmax_rows(feature_learned(head, f)) for head in mhc.heads]
+
+
+def _calculated_heads(shape: tuple, w_a: Sequence[Tensor], w_b: Sequence[Tensor]):
+    """Check feature-calculated relevance heads on an input shaped `shape` and
+    return their arithmetic as closures.
+
+    w_a[n] and w_b[n] are (R, C).  `adjacencies(x)` lists head n's (T, T)
+    row softmax of a_rows @ b_cols, where a_rows is W_a x laid out time-major
+    as (T, R J) and b_cols is W_b x as (R J, T), bit for bit each head's
+    unfused reshape/matmul/permute/softmax_rows chain, n = 0..N-1.  For the
+    adjacencies `adj` and their gradients `d_adj`, `backward(x, adj, d_adj,
+    dx)` rebuilds a_rows and b_cols, hands w_b[n] and w_a[n] their gradients
+    and adds head n's input gradient to `dx`, n = N-1..0.  The closures hold
+    the projections, never a Tensor.
+    """
+    if not w_a or len(w_a) != len(w_b):
+        raise ShapeError(f"relevance heads: {len(w_a)} a-projections for "
+                         f"{len(w_b)} b-projections")
+    c, frames, joints = shape
+    reduced = w_a[0].shape[0]
+    _check_stack("relevance heads", w_a, (reduced, c), "a-projection")
+    _check_stack("relevance heads", w_b, (reduced, c), "b-projection")
+    wa_data, wb_data = [w.data for w in w_a], [w.data for w in w_b]
+    a_cells, b_cells = [w.cell for w in w_a], [w.cell for w in w_b]
+
+    def operands(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        a = (wa_data[n] @ flat).reshape(reduced, frames, joints)
+        b = (wb_data[n] @ flat).reshape(reduced, frames, joints)
+        return (np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(frames, reduced * joints),
+                np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(reduced * joints, frames))
+
+    def adjacencies(x: np.ndarray) -> list[np.ndarray]:
+        out = []
+        for n in range(len(wa_data)):
+            a_rows, b_cols = operands(x.reshape(c, -1), n)
+            scores = a_rows @ b_cols
+            _check_finite(scores, "relevance heads")  # then the softmax is finite too
+            out.append(_softmax(scores))
+        return out
+
+    def backward(x: np.ndarray, adj: list, d_adj: list, dx: np.ndarray) -> None:
+        flat = x.reshape(c, -1)
+        for n in reversed(range(len(wa_data))):
+            d_scores = _softmax_grad(adj[n], d_adj[n])
+            a_rows, b_cols = operands(flat, n)
+            d_a = np.ascontiguousarray((d_scores @ b_cols.T).reshape(
+                frames, reduced, joints).transpose(1, 0, 2)).reshape(reduced, -1)
+            d_b = np.ascontiguousarray((a_rows.T @ d_scores).reshape(
+                reduced, joints, frames).transpose(0, 2, 1)).reshape(reduced, -1)
+            _accumulate(b_cells[n], d_b @ flat.T, fresh=True)
+            d_flat = wb_data[n].T @ d_b
+            _accumulate(a_cells[n], d_a @ flat.T, fresh=True)
+            d_flat += wa_data[n].T @ d_a
+            dx += d_flat.reshape(c, frames, joints)
+
+    return adjacencies, backward
+
+
+def _graph_mix(shape: tuple, weights: Sequence[Tensor]):
+    """Check a temporal graph mix of an input shaped `shape` and return its
+    arithmetic as closures.
+
+    weights[n] is (C, C).  `mix(x, a)` is the (C, T, J) sum_n W_n @ (x mixed
+    along T by the (T, T) array a[n]), bit for bit the unfused
+    permute/reshape/matmul/add chain: head n multiplies a[n] by the
+    time-major (T, C J) copy of x, takes a channel-major copy of the result
+    and maps it by W_n, summed in order n = 0..N-1.  For the output gradient
+    `g`, `backward(g, x, a)` hands W_n its gradient, recomputing head n's
+    mix, and returns the list of a[n]'s gradients and the input gradient,
+    the heads' time-major terms summed over n = N-1..0 and seen channel-major.
+    """
+    c, frames, joints = shape
+    w_data, w_cells = [w.data for w in weights], [w.cell for w in weights]
+
+    def time_major(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(frames, c * joints)
+
+    def mixed(a: np.ndarray, tm: np.ndarray) -> np.ndarray:
+        by_time = (a @ tm).reshape(frames, c, joints)
+        return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
+
+    def mix(x: np.ndarray, a: Sequence[np.ndarray]) -> np.ndarray:
+        tm = time_major(x)
+        acc = w_data[0] @ mixed(a[0], tm)
+        for n in range(1, len(w_data)):
+            acc += w_data[n] @ mixed(a[n], tm)
+        return acc.reshape(c, frames, joints)
+
+    def backward(g: np.ndarray, x: np.ndarray, a: Sequence[np.ndarray]):
+        g = g.reshape(c, frames * joints)
+        tm = time_major(x)
+        d_a, d_tm = [None] * len(w_data), None
+        for n in reversed(range(len(w_data))):
+            _accumulate(w_cells[n], g @ mixed(a[n], tm).T)
+            d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
+                1, 0, 2).reshape(frames, c * joints)
+            d_a[n] = d_mixed @ tm.T
+            term = a[n].T @ d_mixed
+            if d_tm is None:
+                d_tm = term
+            else:
+                d_tm += term
+            del d_mixed, term  # freed before the next head allocates
+        return d_a, d_tm.reshape(frames, c, joints).transpose(1, 0, 2)
+
+    return mix, backward
 
 
 def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,
-                        adjacencies: list[Tensor]) -> Tensor:
+                        adjacencies: Sequence[Tensor]) -> Tensor:
+    """(C, T, J) -> (C, T, J): sum_n W_n @ (f_s mixed along T by A_n), one record.
+
+    adjacencies[n] is (T, T), row i holding frame i's weights over all
+    frames, and W_n is mhc's output map n.  The arithmetic is `_graph_mix`'s;
+    the backward rule recomputes each head's mix from f_s instead of keeping it.
+    """
+    if f_s.data.ndim != 3:
+        raise ShapeError(f"{mhc.identifier}: expected (C, T, J), got {f_s.shape}")
     if len(adjacencies) != len(mhc.heads):
         raise ShapeError(
             f"{mhc.identifier}: {len(adjacencies)} adjacencies for {len(mhc.heads)} heads"
@@ -176,4 +294,16 @@ def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,
             raise ShapeError(
                 f"{mhc.identifier}: adjacency {adjacency.shape} does not match T={t}"
             )
-    return temporal_graph_mix(f_s, adjacencies, [w_t.value for w_t in mhc.output_maps])
+    mix, backward = _graph_mix(f_s.shape, [w_t.value for w_t in mhc.output_maps])
+    x_data, a_data = f_s.data, [a.data for a in adjacencies]
+    out = Tensor(mix(x_data, a_data))
+    _check_finite(out.data, "temporal_graph_conv")
+    x_cell, a_cells = f_s.cell, [a.cell for a in adjacencies]
+
+    def rule(g):
+        d_a, d_x = backward(g, x_data, a_data)
+        for n in reversed(range(len(a_cells))):
+            _accumulate(a_cells[n], d_a[n])
+        _accumulate(x_cell, d_x)
+
+    return _record(out, rule)

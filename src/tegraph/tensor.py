@@ -8,57 +8,34 @@ order: each rule, and every buffer only it holds, is freed as soon as it
 has run, so a tape supports a single backward pass.  Every op records
 through `_record(out, rule)`.  There is no broadcasting beyond scalar
 `scale`; reshape/permute/pad/slice are explicit ops so every backward rule
-stays auditable.  Fused ops give each hot stage one record:
-`temporal_conv` (the windowed temporal convolution) and
-`temporal_graph_mix` (the multi-head frame mixing) here, and
-`spatial_graph_bn_relu` (the whole spatial stage), `spatial_temporal_stage`
-(a tc layer's spatial and temporal stages) and `spatial_tgraph_stage` (a
-tgraph layer's spatial stage, feature-calculated heads, mix and skip add)
-in blocks.py.  Each reproduces the arithmetic of the op chain it replaces
-bit for bit and recomputes what its rule needs from its inputs.  Stage
-arithmetic that is no record of its own lives in closure helpers that the
-records share: `_spatial_graph` (the partitioned joint mixing, run by
-`blocks._spatial_stage` inside the three spatial-stage records, whose
-bn -> ReLU backward lives only in `batchnorm._relu_backward`), `_temporal`,
-`_calculated_heads` (every feature-calculated relevance head of a layer,
-softmax included) and `_graph_mix`.
+stays auditable.  This module holds the tape, the generic ops and the
+fused `temporal_conv`, whose arithmetic `_temporal` shares with
+`blocks.spatial_temporal_stage`.  The graph ops live with their graphs:
+the spatial stages in blocks.py, the temporal graph conv in temporal.py,
+each reproducing the arithmetic of the op chain it replaced bit for bit.
+OP_NAMES lists every op, `batchnorm` (batchnorm.py) included.
 
 Retention: a tensor's gradient slot is a GradCell held apart from its data.
 A backward rule closes over its inputs' cells, its replay over its
 output's, and over exactly the arrays its formula reads, never over a
 Tensor.  So `add`, `sub`, `scale`, `reshape`, `permute`, `pad_axis`,
 `slice_axis` and the sums keep no array, `relu` and the softmaxes keep
-their output, `matmul` and `mul` their operands, `batchnorm` its
-normalized input, and `temporal_conv` and `temporal_graph_mix` their
-inputs.  The fused stages keep less than the chain did: the spatial stage
-(`blocks._spatial_stage`) keeps the layer input, the gates P_k * M_k and
-the per-channel mean, sigma and scale, and rebuilds the conv output, xhat
-and the mask one channel map at a time; `spatial_temporal_stage` keeps the
-same plus the temporal kernel and statistics, never the spatial output s
-or the temporal xhat: its rule rebuilds s straight into the zero-padded
-buffer the kernel-gradient taps read and runs the temporal conv on it
-again; `spatial_tgraph_stage` keeps the same plus the adjacencies, never
-s, a head's score operands or a mix: its rule rebuilds s from the spatial
-xhat and runs the mix and head backwards on it.  A temporal conv's
-backward takes the kernel gradient first and frees the padded input
-before the input gradient's padded buffer is made.  Every other
-intermediate is freed as soon as the forward pass drops it, while the tape
-is still live.
+their output, `matmul` and `mul` their operands, and `temporal_conv` its
+input and kernel: its backward takes the kernel gradient first and frees
+the padded input before the input gradient's padded buffer is made.  Every
+other intermediate is freed as soon as the forward pass drops it, while the
+tape is still live.
 
 Handover: a cell copies its first contribution, so that a later `+=` cannot
 write through a view into another buffer, except where the rule has just
 computed the array and nothing else can reach it.  Those arrays are handed
-to the cell as they are (`_accumulate(..., fresh=True)`): the results of
-`matmul`, `mul`, `scale`, `relu`, `softmax_rows` and the batchnorms, the
-input and mask gradients of the three spatial stages, the projection
-gradients of the feature-calculated heads and the input-gradient slice of
-`temporal_conv`.  `add`, `sub`, `reshape`, `permute`, the slices and the
-sums pass on views of their output's gradient or `broadcast_to` views, so
-they keep copying.  Work in place touches only arrays the code has just
-made: the stage forwards center their own conv output and write the bn
-output over it, their rules center each rebuilt conv output, the bn-ReLU
-backward forms dy and dx in its own temporary.  Nothing writes into a
-cell's gradient or an array another rule can still read.
+to the cell as they are (`_accumulate(..., fresh=True)`): here the results
+of `matmul`, `mul`, `scale`, `relu` and `softmax_rows` and the
+input-gradient slice of `temporal_conv`.  `add`, `sub`, `reshape`,
+`permute`, the slices and the sums pass on views of their output's
+gradient or `broadcast_to` views, so they keep copying.  Work in place
+touches only arrays the code has just made: nothing writes into a cell's
+gradient or an array another rule can still read.
 
 Concurrency: training runs on the calling thread; only evaluation
 (`training.predict_logits`) forwards samples on worker threads, which
@@ -296,7 +273,7 @@ OP_NAMES = [
     "spatial_graph_bn_relu",
     "spatial_temporal_stage",
     "spatial_tgraph_stage",
-    "temporal_graph_mix",
+    "temporal_graph_conv",
 ]
 
 
@@ -583,200 +560,6 @@ def _check_stack(op: str, operands: Sequence[Tensor], shape: tuple, what: str) -
             raise ShapeError(f"{op}: {what} {n} has shape {t.shape}, expected {shape}")
 
 
-def _spatial_graph(x: Tensor, weights: Sequence[Tensor], partitions: Sequence[np.ndarray],
-                   masks: Sequence[Tensor]):
-    """Check a spatial graph conv of `x` and return its arithmetic as closures.
-
-    weights[k] is (C_out, C_in); partitions[k] (cast to the current
-    precision) and masks[k] are (J, J) and destination-major: output joint
-    i takes sum_j A_k[i, j] x[..., j] for the gate A_k = P_k * M_k.
-    `conv()` is the (C_out, T, J) output sum_k (W_k @ x) @ A_k^T over
-    k = 0..K-1, the channel map as (C_out T, J) times a contiguous copy of
-    A_k^T, bit for bit the unfused mul/reshape/matmul/permute/add chain;
-    `backward(g)` sends the output gradient `g` on to mask k (dA_k * P_k),
-    weight k and x, k = K-1..0, rebuilding each channel map as it reaches
-    it.  The closures hold x, the weights, the partitions and the gates,
-    never a Tensor.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"spatial graph conv expects a 3-D input, got {x.shape}")
-    if not weights or not len(weights) == len(partitions) == len(masks):
-        raise ShapeError(f"spatial graph conv: {len(weights)} weights for "
-                         f"{len(partitions)} partitions and {len(masks)} masks")
-    c_in, frames, joints = x.shape
-    c_out = weights[0].shape[0]
-    _check_stack("spatial graph conv", weights, (c_out, c_in), "weight")
-    _check_stack("spatial graph conv", masks, (joints, joints), "mask")
-    p_data = [np.asarray(p, dtype=precision.dtype()) for p in partitions]
-    _check_stack("spatial graph conv", p_data, (joints, joints), "partition")
-    flat = x.data.reshape(c_in, frames * joints)
-    w_data = [w.data for w in weights]
-    a_data = [p * m.data for p, m in zip(p_data, masks)]
-    x_cell = x.cell
-    w_cells = [w.cell for w in weights]
-    m_cells = [m.cell for m in masks]
-
-    def channel_map(k: int) -> np.ndarray:
-        return (w_data[k] @ flat).reshape(c_out * frames, joints)
-
-    def mixer(k: int) -> np.ndarray:
-        return np.ascontiguousarray(a_data[k].T)
-
-    def conv() -> np.ndarray:
-        acc = channel_map(0) @ mixer(0)
-        for k in range(1, len(w_data)):
-            acc += channel_map(k) @ mixer(k)
-        return acc.reshape(c_out, frames, joints)
-
-    def backward(g: np.ndarray) -> None:
-        g = g.reshape(c_out * frames, joints)
-        for k in reversed(range(len(w_data))):
-            _accumulate(m_cells[k], (channel_map(k).T @ g).T * p_data[k], fresh=True)
-            d_map = (g @ mixer(k).T).reshape(c_out, frames * joints)
-            _accumulate(w_cells[k], d_map @ flat.T)
-            _accumulate(x_cell, (w_data[k].T @ d_map).reshape(c_in, frames, joints),
-                        fresh=True)
-
-    return conv, backward
-
-
-def _calculated_heads(shape: tuple, w_a: Sequence[Tensor], w_b: Sequence[Tensor]):
-    """Check feature-calculated relevance heads on an input shaped `shape` and
-    return their arithmetic as closures.
-
-    w_a[n] and w_b[n] are (R, C).  `adjacencies(x)` lists head n's (T, T)
-    row softmax of a_rows @ b_cols, where a_rows is W_a x laid out time-major
-    as (T, R J) and b_cols is W_b x as (R J, T), bit for bit each head's
-    unfused reshape/matmul/permute/softmax_rows chain, n = 0..N-1.  For the
-    adjacencies `adj` and their gradients `d_adj`, `backward(x, adj, d_adj,
-    dx)` rebuilds a_rows and b_cols, hands w_b[n] and w_a[n] their gradients
-    and adds head n's input gradient to `dx`, n = N-1..0.  The closures hold
-    the projections, never a Tensor.
-    """
-    if not w_a or len(w_a) != len(w_b):
-        raise ShapeError(f"relevance heads: {len(w_a)} a-projections for "
-                         f"{len(w_b)} b-projections")
-    c, frames, joints = shape
-    reduced = w_a[0].shape[0]
-    _check_stack("relevance heads", w_a, (reduced, c), "a-projection")
-    _check_stack("relevance heads", w_b, (reduced, c), "b-projection")
-    wa_data, wb_data = [w.data for w in w_a], [w.data for w in w_b]
-    a_cells, b_cells = [w.cell for w in w_a], [w.cell for w in w_b]
-
-    def operands(flat: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-        a = (wa_data[n] @ flat).reshape(reduced, frames, joints)
-        b = (wb_data[n] @ flat).reshape(reduced, frames, joints)
-        return (np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(frames, reduced * joints),
-                np.ascontiguousarray(b.transpose(0, 2, 1)).reshape(reduced * joints, frames))
-
-    def adjacencies(x: np.ndarray) -> list[np.ndarray]:
-        out = []
-        for n in range(len(wa_data)):
-            a_rows, b_cols = operands(x.reshape(c, -1), n)
-            scores = a_rows @ b_cols
-            _check_finite(scores, "relevance heads")  # then the softmax is finite too
-            out.append(_softmax(scores))
-        return out
-
-    def backward(x: np.ndarray, adj: list, d_adj: list, dx: np.ndarray) -> None:
-        flat = x.reshape(c, -1)
-        for n in reversed(range(len(wa_data))):
-            d_scores = _softmax_grad(adj[n], d_adj[n])
-            a_rows, b_cols = operands(flat, n)
-            d_a = np.ascontiguousarray((d_scores @ b_cols.T).reshape(
-                frames, reduced, joints).transpose(1, 0, 2)).reshape(reduced, -1)
-            d_b = np.ascontiguousarray((a_rows.T @ d_scores).reshape(
-                reduced, joints, frames).transpose(0, 2, 1)).reshape(reduced, -1)
-            _accumulate(b_cells[n], d_b @ flat.T, fresh=True)
-            d_flat = wb_data[n].T @ d_b
-            _accumulate(a_cells[n], d_a @ flat.T, fresh=True)
-            d_flat += wa_data[n].T @ d_a
-            dx += d_flat.reshape(c, frames, joints)
-
-    return adjacencies, backward
-
-
-def _graph_mix(shape: tuple, weights: Sequence[Tensor]):
-    """Check a temporal graph mix of an input shaped `shape` and return its
-    arithmetic as closures.
-
-    weights[n] is (C, C).  `mix(x, a)` is the (C, T, J) sum_n W_n @ (x mixed
-    along T by the (T, T) array a[n]), bit for bit the unfused
-    permute/reshape/matmul/add chain: head n multiplies a[n] by the
-    time-major (T, C J) copy of x, takes a channel-major copy of the result
-    and maps it by W_n, summed in order n = 0..N-1.  For the output gradient
-    `g`, `backward(g, x, a)` hands W_n its gradient, recomputing head n's
-    mix, and returns the list of a[n]'s gradients and the input gradient,
-    the heads' time-major terms summed over n = N-1..0 and seen channel-major.
-    """
-    c, frames, joints = shape
-    _check_stack("temporal_graph_mix", weights, (c, c), "weight")
-    w_data, w_cells = [w.data for w in weights], [w.cell for w in weights]
-
-    def time_major(x: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(frames, c * joints)
-
-    def mixed(a: np.ndarray, tm: np.ndarray) -> np.ndarray:
-        by_time = (a @ tm).reshape(frames, c, joints)
-        return np.ascontiguousarray(by_time.transpose(1, 0, 2)).reshape(c, frames * joints)
-
-    def mix(x: np.ndarray, a: Sequence[np.ndarray]) -> np.ndarray:
-        tm = time_major(x)
-        acc = w_data[0] @ mixed(a[0], tm)
-        for n in range(1, len(w_data)):
-            acc += w_data[n] @ mixed(a[n], tm)
-        return acc.reshape(c, frames, joints)
-
-    def backward(g: np.ndarray, x: np.ndarray, a: Sequence[np.ndarray]):
-        g = g.reshape(c, frames * joints)
-        tm = time_major(x)
-        d_a, d_tm = [None] * len(w_data), None
-        for n in reversed(range(len(w_data))):
-            _accumulate(w_cells[n], g @ mixed(a[n], tm).T)
-            d_mixed = (w_data[n].T @ g).reshape(c, frames, joints).transpose(
-                1, 0, 2).reshape(frames, c * joints)
-            d_a[n] = d_mixed @ tm.T
-            term = a[n].T @ d_mixed
-            if d_tm is None:
-                d_tm = term
-            else:
-                d_tm += term
-            del d_mixed, term  # freed before the next head allocates
-        return d_a, d_tm.reshape(frames, c, joints).transpose(1, 0, 2)
-
-    return mix, backward
-
-
-def temporal_graph_mix(x: Tensor, adjacencies: Sequence[Tensor],
-                       weights: Sequence[Tensor]) -> Tensor:
-    """(C, T, J) -> (C, T, J): sum_n W_n @ (x mixed along T by A_n).
-
-    adjacencies[n] is (T, T), row i holding frame i's weights over all
-    frames, and weights[n] is (C, C).  The arithmetic is `_graph_mix`'s; the
-    backward rule recomputes each head's mix from x instead of keeping it.
-    """
-    if x.data.ndim != 3:
-        raise ShapeError(f"temporal_graph_mix expects a 3-D input, got {x.shape}")
-    if not weights or len(weights) != len(adjacencies):
-        raise ShapeError(f"temporal_graph_mix: {len(adjacencies)} adjacencies for "
-                         f"{len(weights)} weights")
-    frames = x.shape[1]
-    _check_stack("temporal_graph_mix", adjacencies, (frames, frames), "adjacency")
-    mix, backward = _graph_mix(x.shape, weights)
-    x_data, a_data = x.data, [a.data for a in adjacencies]
-    out = Tensor(mix(x_data, a_data))
-    _check_finite(out.data, "temporal_graph_mix")
-    x_cell, a_cells = x.cell, [a.cell for a in adjacencies]
-
-    def rule(g):
-        d_a, d_x = backward(g, x_data, a_data)
-        for n in reversed(range(len(a_cells))):
-            _accumulate(a_cells[n], d_a[n])
-        _accumulate(x_cell, d_x)
-
-    return _record(out, rule)
-
-
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
     _check_finite(out.data, "sum_all")
@@ -798,7 +581,3 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
 
     return _record(out, rule)
 
-
-def constant(data) -> Tensor:
-    """A tensor that participates in the graph but is never trained."""
-    return Tensor(np.asarray(data))

@@ -279,9 +279,10 @@ def train(network: Network, train_set, eval_set, config: TrainConfig,
     """Run the full schedule; returns per-epoch metrics.
 
     `checkpoint_path` is rewritten after every completed epoch, so on a
-    divergence abort it holds the last good state.  `best_path` tracks the
-    highest eval accuracy seen so far (first winner kept on ties).  Samples
-    are checked against the model before any of these files is opened.
+    divergence abort after epoch 0 it holds the last good state, which the
+    abort message names.  `best_path` tracks the highest eval accuracy seen
+    so far (first winner kept on ties).  Samples are checked against the
+    model before any of these files is opened.
     """
     if not train_set:
         raise DataError("training set is empty")
@@ -323,7 +324,7 @@ def train(network: Network, train_set, eval_set, config: TrainConfig,
                              momentum_state)
             except NumericError as exc:
                 where = (f"; last good checkpoint: {checkpoint_path}"
-                         if checkpoint_path else "")
+                         if checkpoint_path and history else "")
                 raise NumericError(f"training aborted at epoch {epoch}: {exc}{where}")
             train_loss = total_loss / len(order)
             train_acc = correct / len(order)

@@ -12,8 +12,8 @@ from tegraph.batchnorm import batchnorm
 from tegraph.errors import GraphError
 from tegraph.graph import SkeletonGraph
 from tegraph.tensor import (
+    Tensor,
     add,
-    constant,
     matmul,
     mul,
     permute,
@@ -159,7 +159,7 @@ def chain_spatial_graph_conv(x, weights, partitions, masks):
     c_in, t, j = x.shape
     out = None
     for weight, partition, mask in zip(weights, partitions, masks):
-        adjacency = mul(constant(partition), mask)
+        adjacency = mul(Tensor(partition), mask)
         c_out = weight.shape[0]
         mapped = reshape(matmul(weight, reshape(x, (c_in, t * j))), (c_out, t, j))
         mixed = matmul(reshape(mapped, (c_out * t, j)), permute(adjacency, (1, 0)))

@@ -20,7 +20,7 @@ from oracles import (
     tc_oracle,
     temporal_graph_conv_oracle,
 )
-from tegraph.blocks import SGBlock, TCBlock
+from tegraph.blocks import SGBlock, TCBlock, _spatial_graph
 from tegraph.cli import main
 from tegraph.dataset import generate_synthetic, write_dataset
 from tegraph.gradcheck import OP_NAMES, check_all_ops, grad_check
@@ -45,12 +45,12 @@ from tegraph.synth import synth_longrange_dataset
 from tegraph.temporal import (
     MultiHeadTemporalConv,
     RelevanceHead,
+    _calculated_heads,
     build_heads,
     feature_learned,
-    normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor, _calculated_heads, _spatial_graph, temporal_conv
+from tegraph.tensor import Tensor, softmax_rows, temporal_conv
 from tegraph.training import TrainConfig, lr_at, softmax_distribution, train
 
 
@@ -248,8 +248,8 @@ def test_criterion_3_structural_invariants():
             t = int(rng.integers(1, 8))
             raw = rng.normal(size=(t, t)) * 3.0
             shift = rng.normal(size=(t, 1)) * np.ones((1, t))
-            base_rows = normalize(Tensor(raw)).data
-            shifted_rows = normalize(Tensor(raw + shift)).data
+            base_rows = softmax_rows(Tensor(raw)).data
+            shifted_rows = softmax_rows(Tensor(raw + shift)).data
             assert np.abs(base_rows - shifted_rows).max() <= 1e-12
 
 

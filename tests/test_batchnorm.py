@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from tegraph import precision
-from tegraph.batchnorm import BatchNorm, batchnorm
+from tegraph.batchnorm import EPS, BatchNorm, batchnorm
 from tegraph.errors import ShapeError
 from tegraph.gradcheck import grad_check
 from tegraph.tensor import Parameter, Tape, Tensor, mul, sum_all
@@ -61,7 +61,7 @@ def test_eval_mode_uses_buffers_and_leaves_them_alone():
     bn.training = False
     x = np.array([[2.0, 4.0, 6.0]])
     out = bn(Tensor(x)).data
-    np.testing.assert_allclose(out, (x - 2.0) / np.sqrt(4.0 + bn.eps),
+    np.testing.assert_allclose(out, (x - 2.0) / np.sqrt(4.0 + EPS),
                                rtol=0, atol=1e-12)
     np.testing.assert_array_equal(bn.running_mean, [2.0])
     np.testing.assert_array_equal(bn.running_var, [4.0])

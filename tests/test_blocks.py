@@ -7,13 +7,14 @@ from tegraph.blocks import (
     ChannelProjection,
     SGBlock,
     TCBlock,
+    _spatial_graph,
     sg_forward,
     tc_forward,
     tc_output_length,
 )
 from tegraph.errors import ConfigError, ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
-from tegraph.tensor import Tensor, _spatial_graph, temporal_conv
+from tegraph.tensor import Tensor, temporal_conv
 
 
 def make_sg(c_in, c_out, joints, seed=0, center=0):

@@ -365,6 +365,42 @@ def test_preprocess_stream_name_that_is_not_a_file_name_is_config_error(tmp_path
     assert [p for p in tmp_path.rglob("*") if p.is_file()] == [spec]  # nothing written
 
 
+def test_preprocess_spec_too_large_to_allocate_is_config_error(tmp_path, capsys):
+    # 10^15 frames ask for 107 PiB, more than any 64-bit user address space
+    # holds, so the allocation fails at once whatever the overcommit policy.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"generator": "templates", "frames": 10 ** 15}))
+    out = tmp_path / "data"
+    assert main(["preprocess", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "the dataset does not fit in memory: Unable to allocate 107. PiB" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_preprocess_capture_too_long_to_allocate_is_config_error(tmp_path, capsys):
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A001.skeleton").write_text(capture_text(1.0))
+    out = tmp_path / "data"
+    code = main(["preprocess", str(src), "--out", str(out), "--frames", str(10 ** 15)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "the dataset does not fit in memory" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_preprocess_non_finite_stream_is_data_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"generator": "longrange", "sigma": 1e308,
+                                "samples_per_class": 1}))
+    out = tmp_path / "data"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["preprocess", str(spec), "--out", str(out)]) == 3
+    assert ("sample train-longrange-c0-s0: non-finite values in its joint-spatial stream"
+            in capsys.readouterr().err)
+    assert not (out / "manifest.jsonl").exists()
+
+
 # ---------------------------------------------------------------------------
 # train / eval / fuse
 
@@ -471,6 +507,9 @@ CONFIG = {"layers": [[3, 8, 1, "tc", 3]], "num_classes": 2, "num_joints": 5,
     ({"config": dict(CONFIG, layers=[[3, 8, 1, "sideways", 3]])}, "bad checkpoint config"),
     ({"config": dict(CONFIG, graph="ntu")}, "bad checkpoint config"),
     ({"config": {k: v for k, v in CONFIG.items() if k != "heads"}}, "KeyError('heads')"),
+    ({"config": dict(CONFIG, num_classes=float("inf"))}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, seed=float("inf"))}, "bad checkpoint config"),
+    ({"config": dict(CONFIG, heads=float("-inf"))}, "bad checkpoint config"),
 ])
 def test_eval_malformed_checkpoint_config_is_data_error(dataset_dir, tmp_path, capsys,
                                                         extra, message):

@@ -28,13 +28,12 @@ from tegraph.blocks import (
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions, ntu_graph
 from tegraph.model import Network, backbone_config
-from tegraph.temporal import MultiHeadTemporalConv
+from tegraph.temporal import MultiHeadTemporalConv, _calculated_heads
 from tegraph.tensor import (
     OP_NAMES,
     Parameter,
     Tape,
     Tensor,
-    _calculated_heads,
     add,
     mul,
     sum_all,

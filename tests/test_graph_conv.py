@@ -1,6 +1,6 @@
 """The graph convolutions reproduce the unfused op chains bit for bit.
 
-The spatial graph conv is the arithmetic `tensor._spatial_graph` hands the
+The spatial graph conv is the arithmetic `blocks._spatial_graph` hands the
 three spatial-stage records; those stages and the relevance heads are
 tested in test_fused_stages.py.
 """
@@ -9,13 +9,13 @@ import pytest
 
 from oracles import chain_spatial_graph_conv, chain_temporal_graph_mix
 from tegraph import gradcheck, precision
-from tegraph.blocks import SGBlock, sg_forward
+from tegraph.blocks import SGBlock, _spatial_graph, sg_forward
 from tegraph.cli import main
 from tegraph.errors import ShapeError
 from tegraph.graph import chain_graph, normalized_partitions
 from tegraph.model import LayerSpec, ModelConfig, Network, backbone_config
 from tegraph.temporal import MultiHeadTemporalConv, temporal_graph_conv
-from tegraph.tensor import OP_NAMES, Tape, Tensor, _spatial_graph, temporal_graph_mix
+from tegraph.tensor import OP_NAMES, Tape, Tensor
 
 
 def run(op, x_data, first, second, seed_grad, x_grad):
@@ -96,11 +96,17 @@ TGC_CASES = [
 
 @pytest.mark.parametrize("mode", ["verify", "train"])
 @pytest.mark.parametrize("heads,channels,frames,joints", TGC_CASES)
-def test_temporal_graph_mix_is_bit_identical_to_the_chain(mode, heads, channels, frames,
-                                                          joints):
+def test_temporal_graph_conv_is_bit_identical_to_the_chain(mode, heads, channels, frames,
+                                                           joints):
     rng = np.random.default_rng(heads * 1000 + channels * 100 + frames)
     with precision.scoped_mode(mode):
         dtype = precision.dtype()
+        mhc = MultiHeadTemporalConv(heads, "feature-learned", channels, frames, joints, "t")
+
+        def conv(x, adjacencies, weights):  # the output maps are the drawn weights
+            for w_t, weight in zip(mhc.output_maps, weights):
+                w_t.value = weight
+            return temporal_graph_conv(mhc, x, adjacencies)
 
         def draw(*shape):
             return rng.normal(size=shape).astype(dtype)
@@ -109,13 +115,13 @@ def test_temporal_graph_mix_is_bit_identical_to_the_chain(mode, heads, channels,
         adjacencies = [draw(frames, frames) for _ in range(heads)]
         weights = [draw(channels, channels) for _ in range(heads)]  # nonzero output maps
         g, x_grad = draw(channels, frames, joints), draw(channels, frames, joints)
-        fused = run(temporal_graph_mix, x, adjacencies, weights, g, x_grad)
+        fused = run(conv, x, adjacencies, weights, g, x_grad)
         chain = run(chain_temporal_graph_mix, x, adjacencies, weights, g, x_grad)
     assert fused[0].dtype == dtype
     assert_all_equal(fused, chain)
 
 
-@pytest.mark.parametrize("name", ["temporal_graph_mix"])
+@pytest.mark.parametrize("name", ["temporal_graph_conv"])
 def test_fused_ops_are_registered_and_gradient_checked(name):
     assert name in OP_NAMES and name in gradcheck.OP_CHECKS
     [(checked, result)] = list(gradcheck.check_all_ops(seed=5, only=name))
@@ -138,7 +144,7 @@ def test_sg_stage_records_one_graph_conv():
     assert all(m.grad.any() for m in block.masks)
 
 
-def test_tgc_stage_records_one_graph_mix():
+def test_tgc_stage_records_one_graph_conv():
     mhc = MultiHeadTemporalConv(3, "feature-calculated", 4, 5, 2, "t.tgc", seed=2)
     rng = np.random.default_rng(4)
     for w_t in mhc.output_maps:
@@ -146,7 +152,7 @@ def test_tgc_stage_records_one_graph_mix():
     adjacencies = [Tensor(rng.uniform(size=(5, 5))) for _ in mhc.heads]
     with Tape() as tape:
         out = temporal_graph_conv(mhc, Tensor(rng.normal(size=(4, 5, 2))), adjacencies)
-    assert op_names(tape) == ["temporal_graph_mix"]
+    assert op_names(tape) == ["temporal_graph_conv"]
     tape.backward(out)
     assert all(w_t.grad.any() for w_t in mhc.output_maps)
     assert all(a.grad.any() for a in adjacencies)
@@ -163,7 +169,7 @@ def test_every_layer_records_one_op_per_graph_stage():
     tgraph_layers = sum(spec.mode != "tc" for spec in config.layers)
     assert names.count("spatial_tgraph_stage") == tgraph_layers == 7
     assert names.count("spatial_temporal_stage") == len(config.layers) - tgraph_layers == 2
-    assert not {"spatial_graph_bn_relu", "temporal_graph_mix"} & set(names)
+    assert not {"spatial_graph_bn_relu", "temporal_graph_conv"} & set(names)
 
 
 # Tape records of one training sample at T=8.  Every op records once per
@@ -213,9 +219,10 @@ def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
 
 def test_the_spatial_graph_conv_is_no_op_of_its_own():
     """Only the three spatial-stage records run the graph conv; gradcheck has
-    no separate entry for it."""
+    no separate entry for it.  The temporal graph mix is no op apart from
+    temporal_graph_conv either."""
     assert len(OP_NAMES) == len(gradcheck.OP_CHECKS) == 20
-    assert "spatial_graph_conv" not in OP_NAMES
+    assert not {"spatial_graph_conv", "temporal_graph_mix"} & set(OP_NAMES)
     assert {"spatial_graph_bn_relu", "spatial_temporal_stage",
             "spatial_tgraph_stage"} <= set(OP_NAMES)
     assert main(["gradcheck", "--op", "spatial_graph_conv"]) == 2
@@ -236,12 +243,10 @@ def test_validation():
         _spatial_graph(x, [w], [p], [Tensor(np.zeros((4, 4)))])
     with pytest.raises(ShapeError, match="partition 1"):
         _spatial_graph(x, [w, w], [p, np.zeros((4, 4))], [m, m])
-    a_t, w_t = Tensor(np.zeros((4, 4))), Tensor(np.zeros((2, 2)))
-    with pytest.raises(ShapeError, match="3-D"):
-        temporal_graph_mix(Tensor(np.zeros((2, 4))), [a_t], [w_t])
-    with pytest.raises(ShapeError, match="weights"):
-        temporal_graph_mix(x, [], [])
-    with pytest.raises(ShapeError, match="adjacency 1"):
-        temporal_graph_mix(x, [a_t, Tensor(np.zeros((3, 3)))], [w_t, w_t])
-    with pytest.raises(ShapeError, match="weight 0"):
-        temporal_graph_mix(x, [a_t], [Tensor(np.zeros((2, 3)))])
+    mhc, a_t = MultiHeadTemporalConv(2, "feature-learned", 2, 4, 3, "t"), Tensor(np.eye(4))
+    with pytest.raises(ShapeError, match=r"t: expected \(C, T, J\), got \(2, 4\)"):
+        temporal_graph_conv(mhc, Tensor(np.zeros((2, 4))), [a_t, a_t])
+    with pytest.raises(ShapeError, match="t: 0 adjacencies for 2 heads"):
+        temporal_graph_conv(mhc, x, [])
+    with pytest.raises(ShapeError, match=r"t: adjacency \(3, 3\) does not match T=4"):
+        temporal_graph_conv(mhc, x, [a_t, Tensor(np.zeros((3, 3)))])

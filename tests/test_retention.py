@@ -22,7 +22,7 @@ from tegraph.blocks import (
     spatial_tgraph_stage,
 )
 from tegraph.model import Network, backbone_config
-from tegraph.temporal import MultiHeadTemporalConv
+from tegraph.temporal import MultiHeadTemporalConv, temporal_graph_conv
 from tegraph.tensor import (
     OP_NAMES,
     GradCell,
@@ -43,7 +43,6 @@ from tegraph.tensor import (
     sum_all,
     sum_axis,
     temporal_conv,
-    temporal_graph_mix,
 )
 
 
@@ -76,6 +75,14 @@ def _tgraph_blocks(i):
     for param, label in zip(sg.parameters() + mhc.parameters(), TGRAPH_PARAMETERS):
         param.value = i[label]
     return sg, mhc
+
+
+def _mix_heads(i):
+    """Two heads on a 3-channel input whose output maps are w0 and w1."""
+    mhc = MultiHeadTemporalConv(2, "feature-learned", 3, 5, 2, "tgc")
+    for w_t, label in zip(mhc.output_maps, ("w0", "w1")):
+        w_t.value = i[label]
+    return mhc
 
 
 # op -> (inputs from a generator, the call, names of the tensors whose data
@@ -126,10 +133,10 @@ CASES = {
                    "t0": _t(r, 4, 4), "t1": _t(r, 4, 4)},
         lambda i: spatial_tgraph_stage(*_tgraph_blocks(i), i["x"])[0],
         {"x", "w0", "w1", "gamma", "beta", "a0", "b0", "a1", "b1", "t0", "t1"}),
-    "temporal_graph_mix": (
+    "temporal_graph_conv": (
         lambda r: {"x": _t(r, 3, 5, 2), "a0": _t(r, 5, 5), "a1": _t(r, 5, 5),
                    "w0": _t(r, 3, 3), "w1": _t(r, 3, 3)},
-        lambda i: temporal_graph_mix(i["x"], [i["a0"], i["a1"]], [i["w0"], i["w1"]]),
+        lambda i: temporal_graph_conv(_mix_heads(i), i["x"], [i["a0"], i["a1"]]),
         {"x", "w0", "w1", "a0", "a1"}),
 }
 
@@ -280,7 +287,7 @@ def test_bn_relu_add_intermediates_are_freed_while_the_tape_is_live():
 # those figures, residual projections recorded as a slice/reshape/matmul
 # chain, whose matmul kept the strided input copy, peaked 1.0 MiB higher;
 # rules that kept a temporal conv's padded input beside its padded input
-# gradient, and a temporal_graph_mix rule that kept each head's d_mixed and
+# gradient, and a temporal_graph_conv rule that kept each head's d_mixed and
 # term until the next head made its own, 4.1 MiB higher; spatial-stage
 # rules that held all K channel maps at once would peak 12.0 MiB higher,
 # and tc layer records that kept the temporal batchnorm's xhat 15.4 MiB

@@ -14,12 +14,12 @@ from tegraph.errors import ConfigError, ShapeError
 from tegraph.temporal import (
     MultiHeadTemporalConv,
     RelevanceHead,
+    _calculated_heads,
     build_heads,
     feature_learned,
-    normalize,
     temporal_graph_conv,
 )
-from tegraph.tensor import Tensor, _calculated_heads
+from tegraph.tensor import Tensor, softmax_rows
 
 
 def calc_head(channels=4, frames=5, joints=3, seed=0, name="h"):
@@ -113,7 +113,7 @@ def test_learned_bias_only_head_is_constant_per_row():
     for i in range(5):
         np.testing.assert_array_equal(r[i], float(i))
     # a per-row constant dies in the row softmax: rows become uniform
-    np.testing.assert_allclose(normalize(Tensor(r)).data, 0.2, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(softmax_rows(Tensor(r)).data, 0.2, rtol=0, atol=1e-15)
 
 
 def test_head_validation():
@@ -139,7 +139,7 @@ def test_head_validation():
 def test_normalize_hand_example():
     raw = Tensor(np.array([[np.log(2.0), 0.0, 0.0], [0.0, 0.0, 0.0],
                            [5.0, 5.0, 5.0]]))
-    got = normalize(raw).data
+    got = softmax_rows(raw).data
     np.testing.assert_allclose(got[0], [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
     np.testing.assert_allclose(got[1], [1 / 3] * 3, rtol=0, atol=1e-15)
     np.testing.assert_allclose(got[2], [1 / 3] * 3, rtol=0, atol=1e-15)
@@ -148,13 +148,8 @@ def test_normalize_hand_example():
 def test_normalize_matches_loop_oracle():
     rng = np.random.default_rng(5)
     m = rng.normal(scale=4.0, size=(6, 6))
-    np.testing.assert_allclose(normalize(Tensor(m)).data, softmax_rows_oracle(m),
+    np.testing.assert_allclose(softmax_rows(Tensor(m)).data, softmax_rows_oracle(m),
                                rtol=1e-13, atol=0)
-
-
-def test_normalize_requires_square():
-    with pytest.raises(ShapeError):
-        normalize(Tensor(np.zeros((3, 4))))
 
 
 @settings(max_examples=50, deadline=None)
@@ -162,8 +157,8 @@ def test_normalize_requires_square():
        st.floats(-30, 30, allow_nan=False))
 def test_normalize_row_shift_invariance(frames, seed, shift):
     m = np.random.default_rng(seed).normal(scale=3.0, size=(frames, frames))
-    base = normalize(Tensor(m)).data
-    shifted = normalize(Tensor(m + shift)).data  # same shift on every row
+    base = softmax_rows(Tensor(m)).data
+    shifted = softmax_rows(Tensor(m + shift)).data  # same shift on every row
     np.testing.assert_allclose(shifted, base, rtol=0, atol=1e-12)
     np.testing.assert_allclose(base.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 

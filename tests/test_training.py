@@ -7,6 +7,7 @@ import pytest
 
 from oracles import sgd_step_out_of_place
 from tegraph import precision
+from tegraph.checkpoint import network_from_checkpoint
 from tegraph.errors import ConfigError, DataError, NumericError
 from tegraph.model import LayerSpec, ModelConfig, Network
 from tegraph.tensor import Parameter, Tensor
@@ -346,3 +347,26 @@ def test_train_reports_divergence(tmp_path):
     with pytest.raises(NumericError, match="training aborted at epoch"):
         with np.errstate(over="ignore"):
             train(net, data, [], config, checkpoint_path=tmp_path / "ck.tegc")
+
+
+def test_divergence_in_epoch_0_names_no_checkpoint(tmp_path):
+    data = tiny_dataset(4)
+    data[1] = (np.full((3, 4, 3, 1), np.nan), 1)
+    config = TrainConfig(decay_epochs=(), batch_size=2, total_epochs=2, seed=0)
+    with pytest.raises(NumericError, match="aborted at epoch 0: batchnorm") as caught:
+        train(tiny_network(), data, [], config, checkpoint_path=tmp_path / "ck.tegc")
+    assert "checkpoint" not in str(caught.value)
+    assert not (tmp_path / "ck.tegc").exists()
+
+
+def test_divergence_after_epoch_0_names_the_last_good_checkpoint(tmp_path):
+    path = tmp_path / "ck.tegc"
+    config = TrainConfig(learning_rate=0.05, decay_epochs=(1,), decay_factor=1e30,
+                         weight_decay=0.0, batch_size=2, total_epochs=3, seed=0)
+    with pytest.raises(NumericError, match="aborted at epoch 2: ") as caught:
+        with np.errstate(over="ignore", invalid="ignore"):
+            train(tiny_network(), tiny_dataset(), [], config, checkpoint_path=path)
+    assert str(caught.value).endswith(f"; last good checkpoint: {path}")
+    network, manifest, _ = network_from_checkpoint(path)
+    assert manifest["epoch"] == 1
+    assert all(np.isfinite(p.value.data).all() for p in network.parameters())
