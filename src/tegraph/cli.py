@@ -21,7 +21,9 @@ import ctypes
 import json
 import logging
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -38,6 +40,7 @@ from .dataset import (
 from .errors import ConfigError, DataError, NumericError, TegraphError
 from .gradcheck import OP_CHECKS, check_all_ops
 from .model import LayerSpec, ModelConfig, Network, backbone_config, fused_accuracy, fusion_weights
+from .skeleton import MAX_BODIES, MOTION_RANGE
 from .tensorio import save_tensor
 from .training import TrainConfig, blas_threads, eval_workers, evaluate, score_streams, train
 
@@ -61,9 +64,7 @@ def parse_kv_file(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}: line {lineno}: expected key = value")
         key, value = line.split("=", 1)
-        value = value.strip()
-        if "#" in value:
-            value = value.split("#", 1)[0].strip()
+        value = value.split("#", 1)[0].strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
         options[key.strip()] = value
@@ -94,15 +95,6 @@ def gather_options(args) -> Options:
     return options
 
 
-def _get(options, key, default, cast):
-    if key not in options:
-        return default
-    try:
-        return cast(options[key])
-    except (TypeError, ValueError):
-        raise ConfigError(f"config key {key}={options[key]!r} is not a valid {cast.__name__}")
-
-
 def _bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -120,68 +112,66 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 def parse_layer_specs(text: str) -> list[LayerSpec]:
-    """Comma-separated in:out[:stride[:mode[:kernel]]] items."""
+    """Comma-separated in:out[:stride[:mode[:kernel]]] items: LayerSpec's fields
+    in order, the ones an item leaves off at their defaults."""
+    specs = fields(LayerSpec)
+    required = sum(f.default is MISSING for f in specs)
+    casts = get_type_hints(LayerSpec)
     layers = []
     for item in text.split(","):
-        fields = item.strip().split(":")
-        if not 2 <= len(fields) <= 5:
-            raise ConfigError(f"layer spec {item!r} has {len(fields)} fields; expected "
+        values = item.strip().split(":")
+        if not required <= len(values) <= len(specs):
+            raise ConfigError(f"layer spec {item!r} has {len(values)} fields; expected "
                               "in:out[:stride[:mode[:kernel]]]")
         try:
-            in_c, out_c = int(fields[0]), int(fields[1])
-            stride = int(fields[2]) if len(fields) > 2 else 1
-            mode = fields[3] if len(fields) > 3 else "tc"
-            kernel = int(fields[4]) if len(fields) > 4 else 9
+            args = [casts[f.name](value) for f, value in zip(specs, values)]
         except ValueError:
             raise ConfigError(f"bad layer spec {item!r}")
-        layers.append(LayerSpec(in_c, out_c, stride, mode, kernel))
+        layers.append(LayerSpec(*args))
     return layers
 
 
+# Config keys named otherwise than their parameter; every other key names its own.
+PARAMETER_OF = {"classes": "num_classes", "joints": "num_joints", "frames": "fixed_length",
+                "bodies": "max_bodies", "lr": "learning_rate", "epochs": "total_epochs"}
+# A value is parsed as its parameter's annotated type, by these where the type cannot.
+PARSER_OF = {bool: _bool, tuple[int, ...]: _int_list}
+
+
+def _set_keys(options, keys: str, target) -> dict:
+    """Keyword arguments of `target` for the space-separated `keys` that are set,
+    read in order; a key that is not set passes nothing, so `target`'s default applies."""
+    hints = get_type_hints(target)
+    kwargs = {}
+    for key in [key for key in keys.split() if key in options]:
+        name = PARAMETER_OF.get(key, key)
+        parse = PARSER_OF.get(hints[name], hints[name])
+        try:
+            kwargs[name] = parse(options[key])
+        except (TypeError, ValueError):
+            raise ConfigError(f"config key {key}={options[key]!r} is not a valid {parse.__name__}")
+    return kwargs
+
+
 def model_config_from(options: dict[str, str]) -> ModelConfig:
-    classes = _get(options, "classes", None, int)
-    if classes is None:
+    if "classes" not in options:
         raise ConfigError("config key 'classes' is required")
-    common = dict(
-        num_classes=classes,
-        heads=_get(options, "heads", 4, int),
-        relevance=_get(options, "relevance", "feature-calculated", str),
-        seed=_get(options, "seed", 0, int),
-    )
-    if "layers" in options:
-        graph = _get(options, "graph", "chain", str)
-        return ModelConfig(
-            layers=parse_layer_specs(options["layers"]),
-            num_joints=_get(options, "joints", 5, int),
-            fixed_length=_get(options, "frames", 32, int),
-            max_bodies=_get(options, "bodies", 1, int),
-            graph=graph,
-            graph_center=_get(options, "graph_center", 0, int) if graph == "chain" else 0,
-            **common,
-        )
-    return backbone_config(
-        num_joints=_get(options, "joints", 25, int),
-        fixed_length=_get(options, "frames", 300, int),
-        max_bodies=_get(options, "bodies", 2, int),
-        insertion_layer=_get(options, "insertion_layer", 9, int),
-        insertion_mode=_get(options, "insertion_mode", "both", str),
-        replace_all=_get(options, "replace_all", False, _bool),
-        graph=_get(options, "graph", "ntu", str),
-        **common,
-    )
+    common = _set_keys(options, "classes heads relevance seed", ModelConfig)
+    if "layers" not in options:
+        keys = "joints frames bodies insertion_layer insertion_mode replace_all graph"
+        return backbone_config(**common, **_set_keys(options, keys, backbone_config))
+    layers = parse_layer_specs(options["layers"])
+    # ModelConfig requires joints and frames; a custom chain defaults to a small one.
+    config = {"num_joints": 5, "fixed_length": 32, **common,
+              **_set_keys(options, "joints frames bodies graph", ModelConfig)}
+    if config.get("graph", ModelConfig.graph) == "chain":
+        config |= _set_keys(options, "graph_center", ModelConfig)
+    return ModelConfig(layers, **config)
 
 
 def train_config_from(options: dict[str, str]) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=_get(options, "lr", 0.1, float),
-        decay_epochs=_get(options, "decay_epochs", (40, 80, 120), _int_list),
-        decay_factor=_get(options, "decay_factor", 0.1, float),
-        weight_decay=_get(options, "weight_decay", 0.0005, float),
-        batch_size=_get(options, "batch_size", 64, int),
-        total_epochs=_get(options, "epochs", 150, int),
-        seed=_get(options, "seed", 0, int),
-        momentum=_get(options, "momentum", 0.9, float),
-    )
+    keys = "lr decay_epochs decay_factor weight_decay batch_size epochs seed momentum"
+    return TrainConfig(**_set_keys(options, keys, TrainConfig))
 
 
 def run_configs(options: Options) -> tuple[ModelConfig, TrainConfig]:
@@ -190,7 +180,8 @@ def run_configs(options: Options) -> tuple[ModelConfig, TrainConfig]:
     A key none of them read (a typo, or a key of the other model route)
     is a configuration error.
     """
-    precision.set_mode(_get(options, "precision", precision.mode(), str))
+    if "precision" in options:
+        precision.set_mode(options["precision"])
     model_config = model_config_from(options)
     tconfig = train_config_from(options)
     unread = sorted(set(options) - options.asked)
@@ -221,13 +212,15 @@ def log_blas(network: Network) -> None:
 
 
 def cmd_preprocess(args) -> int:
+    if args.frames < 1:
+        raise ConfigError(f"--frames must be at least 1, got {args.frames}")
+    if not args.motion_lo < args.motion_hi:
+        raise ConfigError(f"motion range is empty: [{args.motion_lo}, {args.motion_hi}]")
     source = Path(args.input)
     try:
         if source.is_dir():
-            labeled, graph = preprocess_skeleton_dir(
-                source, args.frames, split=args.split, lo=args.motion_lo,
-                hi=args.motion_hi, max_bodies=args.bodies,
-            )
+            labeled, graph = preprocess_skeleton_dir(source, args.frames, args.split,
+                                                     args.motion_lo, args.motion_hi, args.bodies)
         elif source.suffix == ".json":
             try:
                 spec = json.loads(source.read_bytes())
@@ -400,9 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset directory")
     p.add_argument("--frames", type=int, default=300, help="fixed sequence length")
     p.add_argument("--split", default="train", help="split tag for captured files")
-    p.add_argument("--motion-lo", type=float, default=0.1)
-    p.add_argument("--motion-hi", type=float, default=2.0)
-    p.add_argument("--bodies", type=int, default=2)
+    p.add_argument("--motion-lo", type=float, default=MOTION_RANGE[0])
+    p.add_argument("--motion-hi", type=float, default=MOTION_RANGE[1])
+    p.add_argument("--bodies", type=int, default=MAX_BODIES)
     p.set_defaults(func=cmd_preprocess)
 
     p = commands.add_parser("train", help="train one modality stream")

@@ -31,8 +31,6 @@ from .errors import ConfigError, DataError, EmptyClipError
 from .graph import SkeletonGraph, chain_graph, ntu_graph
 from .modalities import KINDS, all_streams
 from .skeleton import (
-    MAX_BODIES,
-    MOTION_RANGE,
     SkeletonSequence,
     center_and_pad,
     filter_bodies,
@@ -62,9 +60,8 @@ def label_from_filename(name: str) -> int:
     return int(match.group(1)) - 1
 
 
-def preprocess_skeleton_dir(src_dir, fixed_length: int, split: str = "train",
-                            lo: float = MOTION_RANGE[0], hi: float = MOTION_RANGE[1],
-                            max_bodies: int = MAX_BODIES
+def preprocess_skeleton_dir(src_dir, fixed_length: int, split: str, lo: float, hi: float,
+                            max_bodies: int
                             ) -> tuple[list[tuple[SkeletonSequence, str]], SkeletonGraph]:
     """Parse, filter, subsample, and center every capture under `src_dir`.
 
@@ -151,29 +148,31 @@ def generate_synthetic(spec: dict) -> tuple[list[tuple[SkeletonSequence, str]], 
 
 def write_dataset(out_dir, labeled: list[tuple[SkeletonSequence, str]],
                   graph: SkeletonGraph) -> Path:
-    out_dir = Path(out_dir)
-    streams_dir = out_dir / "streams"
-    streams_dir.mkdir(parents=True, exist_ok=True)
-    lines = []
+    """Write every sample's four streams and the manifest into `out_dir`.
+
+    Every sample is checked (a unique id, finite streams) before anything is
+    written, so a refused dataset leaves `out_dir` as it was.  Each pass
+    holds one sample's streams at a time.
+    """
     seen = set()
-    for seq, split in labeled:
+    for seq, _ in labeled:
         if seq.source_id in seen:
             raise DataError(f"duplicate sample id {seq.source_id}")
         seen.add(seq.source_id)
-        streams = all_streams(seq, graph)
-        for kind in KINDS:
-            if not np.all(np.isfinite(streams[kind].data)):
+        with np.errstate(over="ignore", invalid="ignore"):  # reported as a data error below
+            streams = all_streams(seq, graph)
+        for kind, stream in streams.items():
+            if not np.all(np.isfinite(stream.data)):
                 raise DataError(f"sample {seq.source_id}: non-finite values in its {kind} stream")
-        files = {}
-        for kind in KINDS:
-            rel = f"streams/{seq.source_id}.{kind}.tegt"
-            save_tensor(out_dir / rel, streams[kind].data)
-            files[kind] = rel
-        lines.append(json.dumps(
-            {"sample_id": seq.source_id, "label": seq.label, "split": split,
-             "files": files},
-            sort_keys=True,
-        ))
+    out_dir = Path(out_dir)
+    (out_dir / "streams").mkdir(parents=True, exist_ok=True)
+    lines = []
+    for seq, split in labeled:
+        files = {kind: f"streams/{seq.source_id}.{kind}.tegt" for kind in KINDS}
+        for kind, stream in all_streams(seq, graph).items():
+            save_tensor(out_dir / files[kind], stream.data)
+        lines.append(json.dumps({"sample_id": seq.source_id, "label": seq.label,
+                                 "split": split, "files": files}, sort_keys=True))
     manifest = out_dir / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n")
     return manifest

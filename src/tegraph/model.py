@@ -26,7 +26,8 @@ map to class logits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .blocks import (
     tc_output_length,
 )
 from .errors import ConfigError, DataError, ShapeError
-from .graph import SkeletonGraph, chain_graph, normalized_partitions, ntu_graph
+from .graph import NTU_CENTER, SkeletonGraph, chain_graph, normalized_partitions, ntu_graph
 from .tensor import (
     Parameter,
     Tensor,
@@ -128,52 +129,37 @@ class ModelConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "layers": [
-                [s.in_channels, s.out_channels, s.stride, s.mode, s.kernel_t]
-                for s in self.layers
-            ],
-            "num_classes": self.num_classes,
-            "num_joints": self.num_joints,
-            "fixed_length": self.fixed_length,
-            "max_bodies": self.max_bodies,
-            "heads": self.heads,
-            "relevance": self.relevance,
-            "graph": self.graph,
-            "graph_center": self.graph_center,
-            "seed": self.seed,
-        }
+        """Every field in declaration order, a layer as the list of its field values."""
+        return dict(zip([f.name for f in fields(self)], astuple(self, tuple_factory=list)))
 
     @staticmethod
     def from_dict(d: dict) -> "ModelConfig":
-        layers = [
-            LayerSpec(int(a), int(b), int(s), str(m), int(k))
-            for a, b, s, m, k in d["layers"]
-        ]
-        return ModelConfig(
-            layers=layers,
-            num_classes=int(d["num_classes"]),
-            num_joints=int(d["num_joints"]),
-            fixed_length=int(d["fixed_length"]),
-            max_bodies=int(d["max_bodies"]),
-            heads=int(d["heads"]),
-            relevance=str(d["relevance"]),
-            graph=str(d["graph"]),
-            graph_center=int(d["graph_center"]),
-            seed=int(d["seed"]),
-        )
+        """The inverse of to_dict, each value cast to its field's type; a missing
+        key raises KeyError, the first one in field order."""
+        hints = get_type_hints(ModelConfig)
+        return ModelConfig(**{f.name: _cast(hints[f.name], d[f.name])
+                              for f in fields(ModelConfig)})
+
+
+def _cast(hint, value):
+    """`value` as type `hint`; a LayerSpec list comes as rows of all its field values."""
+    if hint == list[LayerSpec]:
+        casts = get_type_hints(LayerSpec).values()
+        return [LayerSpec(*(cast(v) for cast, v in zip(casts, row, strict=True)))
+                for row in value]
+    return hint(value)
 
 
 def backbone_config(num_classes: int, num_joints: int = 25, fixed_length: int = 300,
                     max_bodies: int = 2, insertion_layer: int = 9,
-                    insertion_mode: str = "both", heads: int = 4,
-                    relevance: str = "feature-calculated", graph: str = "ntu",
-                    replace_all: bool = False, seed: int = 0) -> ModelConfig:
+                    insertion_mode: str = "both", graph: str = "ntu",
+                    replace_all: bool = False, **model_fields) -> ModelConfig:
     """The nine-layer default with the temporal graph at one chosen layer.
 
     `replace_all` swaps every stride-1 layer's temporal conv for the graph
     mixing instead; the two stride-2 layers keep their tc blocks because a
-    T x T mixing cannot shorten the sequence.
+    T x T mixing cannot shorten the sequence.  `model_fields` (heads,
+    relevance, seed) go to ModelConfig as they are.
     """
     if not 1 <= insertion_layer <= len(BACKBONE_CHANNELS):
         raise ConfigError(f"insertion layer {insertion_layer} outside 1..{len(BACKBONE_CHANNELS)}")
@@ -186,10 +172,11 @@ def backbone_config(num_classes: int, num_joints: int = 25, fixed_length: int = 
             mode = insertion_mode if i == insertion_layer else "tc"
         layers.append(LayerSpec(in_c, out_c, stride, mode))
         in_c = out_c
+    if graph == "ntu":
+        model_fields["graph_center"] = NTU_CENTER
     return ModelConfig(layers=layers, num_classes=num_classes, num_joints=num_joints,
-                       fixed_length=fixed_length, max_bodies=max_bodies, heads=heads,
-                       relevance=relevance, graph=graph,
-                       graph_center=20 if graph == "ntu" else 0, seed=seed)
+                       fixed_length=fixed_length, max_bodies=max_bodies, graph=graph,
+                       **model_fields)
 
 
 def build_graph(config: ModelConfig) -> SkeletonGraph:

@@ -1,10 +1,12 @@
 """End-to-end runs of every subcommand through main(argv)."""
 import csv
+import importlib.util
 import json
 import logging
 import re
 import shutil
 import struct
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -192,6 +194,34 @@ def test_readme_key_tables_list_exactly_the_keys_train_reads():
     section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
     documented = set(re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE))
     assert documented == accepted_keys()
+
+
+def readme_key_rows() -> list[tuple[str, str, str]]:
+    """(key, default, meaning) of every row of README's configuration key tables."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration keys", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `(\w+)` \| (.+?) \| (.+?) \|$", section, flags=re.MULTILINE)
+
+
+@pytest.mark.parametrize("route", [{}, {"layers": "3:4"}], ids=["backbone", "layers"])
+def test_readme_defaults_are_the_defaults_run_configs_resolves(route):
+    """Setting every default README lists changes nothing against `classes` alone."""
+    with_layers = "layers" in route
+    explicit = {"classes": "2", **route}
+    for key, default, meaning in readme_key_rows():
+        if default in ("required", "full backbone") or (
+                "only" in meaning and with_layers == ("without `layers`" in meaning)):
+            continue
+        plain, on_layers = re.fullmatch(r"(.*?)(?: \((.*) with layers\))?",
+                                        default.replace("`", "")).groups()
+        explicit[key] = on_layers if with_layers and on_layers else plain
+    spec = importlib.util.find_spec("tegraph.precision")
+    fresh = importlib.util.module_from_spec(spec)  # the precision a new process starts in
+    spec.loader.exec_module(fresh)
+    implicit = Options({"classes": "2", **route})
+    defaults = (*run_configs(implicit), fresh.mode())
+    assert set(explicit) | {"layers"} == implicit.asked  # every key the route reads is set
+    assert (*run_configs(Options(explicit)), precision.mode()) == defaults
 
 
 @pytest.mark.parametrize("options,unread", [
@@ -399,6 +429,73 @@ def test_preprocess_non_finite_stream_is_data_error(tmp_path, capsys):
     assert ("sample train-longrange-c0-s0: non-finite values in its joint-spatial stream"
             in capsys.readouterr().err)
     assert not (out / "manifest.jsonl").exists()
+
+
+def dataset_files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+TEMPLATES_SET = {"generator": "templates", "classes": 2, "samples_per_class": 2,
+                 "joints": 5, "frames": 32, "seed": 7}
+
+
+@pytest.mark.parametrize("second,message", [
+    ({"generator": "longrange", "samples_per_class": 1, "joints": 5, "frames": 32,
+      "sigma": 1e308, "split": "eval"},
+     "data error: sample eval-longrange-c0-s0: non-finite values in its joint-spatial stream"),
+    (dict(TEMPLATES_SET, seed=8), "data error: duplicate sample id train-synth-c0-s0"),
+], ids=["non-finite", "duplicate-id"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new-out", "existing-out"])
+def test_preprocess_refused_sample_writes_nothing(tmp_path, dataset_dir, capsys, second,
+                                                  message, existing):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"sets": [TEMPLATES_SET, second]}))
+    out = tmp_path / "data"
+    if existing:
+        shutil.copytree(dataset_dir, out)
+    before = dataset_files(out) if existing else None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["preprocess", str(spec), "--out", str(out)]) == 3
+    assert not caught  # no numpy RuntimeWarning from deriving the streams
+    assert capsys.readouterr().err == message + "\n"
+    if existing:
+        assert dataset_files(out) == before
+    else:
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--frames", "0"], "--frames must be at least 1, got 0"),
+    (["--frames", "-3"], "--frames must be at least 1, got -3"),
+    (["--motion-lo", "nan"], "motion range is empty: [nan, 2.0]"),
+    (["--motion-lo", "5", "--motion-hi", "1"], "motion range is empty: [5.0, 1.0]"),
+    (["--motion-hi", "nan"], "motion range is empty: [0.1, nan]"),
+])
+@pytest.mark.parametrize("kind", ["captures", "spec"])
+def test_preprocess_bad_flag_is_config_error_before_any_file_is_read(tmp_path, capsys, flags,
+                                                                     message, kind):
+    if kind == "captures":  # both inputs are data errors once read
+        source = tmp_path / "captures"
+        source.mkdir()
+        (source / "S001C001P001R001A001.skeleton").write_bytes(NOT_UTF8)
+    else:
+        source = tmp_path / "spec.json"
+        source.write_text('{"sets": [')
+    out = tmp_path / "data"
+    assert main(["preprocess", str(source), "--out", str(out), *flags]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
+def test_preprocess_motion_range_may_be_unbounded_above(tmp_path):
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A001.skeleton").write_text(capture_text(2.0))
+    out = tmp_path / "data"
+    assert main(["preprocess", str(src), "--out", str(out), "--frames", "4",
+                 "--motion-hi", "inf"]) == 0
+    assert len(read_manifest(out / "manifest.jsonl")) == 1
 
 
 # ---------------------------------------------------------------------------
