@@ -214,6 +214,8 @@ def log_blas(network: Network) -> None:
 def cmd_preprocess(args) -> int:
     if args.frames < 1:
         raise ConfigError(f"--frames must be at least 1, got {args.frames}")
+    if args.bodies < 1:
+        raise ConfigError(f"--bodies must be at least 1, got {args.bodies}")
     if not args.motion_lo < args.motion_hi:
         raise ConfigError(f"motion range is empty: [{args.motion_lo}, {args.motion_hi}]")
     source = Path(args.input)

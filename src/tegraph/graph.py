@@ -39,7 +39,6 @@ NTU_EDGES: tuple[tuple[int, int], ...] = (
 )
 NTU_NUM_JOINTS = 25
 NTU_CENTER = 20        # base of the neck; the hub the partition radiates from
-NTU_SPINE = 1          # mid-spine joint used for translation centering
 
 
 @dataclass(frozen=True)

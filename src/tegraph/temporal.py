@@ -14,10 +14,11 @@ Two head kinds:
 
 * feature-learned - the feature map is squeezed to one value per frame
   (channel contraction then joint contraction, both bias-free), and a
-  learned T x T map emits score[i, j] = W[i, j] * v[j] + b[i].  The map is
+  learned T x T map emits score[i, j] = W[i, j] * v[j].  The map is
   anchored to absolute frame positions, which is what lets it express
   relations like "frame 30 attends to the burst near frame 8"; the price is
-  that a head is bound to the temporal length it was built for.
+  that a head is bound to the temporal length it was built for.  A per-row
+  bias b[i] would add nothing: the row softmax cancels any per-row constant.
 
 The per-head output maps W_t start at zero, making a freshly inserted
 temporal-graph stage an exact no-op inside its surrounding residual.
@@ -49,7 +50,6 @@ from .tensor import (
     _record,
     _softmax,
     _softmax_grad,
-    add,
     matmul,
     mul,
     permute,
@@ -99,12 +99,11 @@ class RelevanceHead:
                 init.uniform_fan_in(seed, f"{identifier}.tconv", (frames, frames), frames),
                 f"{identifier}.tconv",
             )
-            self.t_bias = Parameter(init.zeros((frames, 1)), f"{identifier}.tbias")
 
     def parameters(self) -> list[Parameter]:
         if self.kind == "feature-calculated":
             return [self.w_a, self.w_b]
-        return [self.c_conv, self.j_conv, self.t_conv, self.t_bias]
+        return [self.c_conv, self.j_conv, self.t_conv]
 
 
 def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
@@ -122,8 +121,7 @@ def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
     squeezed = reshape(matmul(head.c_conv.value, reshape(f, (c, t * j))), (t, j))
     v = matmul(squeezed, head.j_conv.value)              # (T, 1)
     v_rows = matmul(Tensor(np.ones((t, 1))), permute(v, (1, 0)))   # v[j] broadcast per row
-    bias = matmul(head.t_bias.value, Tensor(np.ones((1, t))))      # b[i] broadcast per column
-    return add(mul(head.t_conv.value, v_rows), bias)
+    return mul(head.t_conv.value, v_rows)
 
 
 class MultiHeadTemporalConv:

@@ -48,7 +48,6 @@ zeroing) requires exclusive access.
 """
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Callable, Sequence
 
@@ -58,7 +57,7 @@ from . import precision
 from .errors import NumericError, ShapeError
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NumericError(f"{op} produced non-finite values")
 
 
@@ -223,18 +222,19 @@ def _record(out: Tensor, rule: Callable[[np.ndarray], None]) -> Tensor:
 
     The recorded replay calls `rule(g)` with out's gradient `g` and skips it
     when no gradient reached `out`.  It closes over out's cell, never `out`,
-    and keeps the rule's `__qualname__` (its op name, by which tests and the
-    benchmark count records).
+    and carries the rule's `__qualname__` (its op name, by which tests and the
+    benchmark count records) and the rule itself as `__wrapped__`.
     """
     tape = active_tape()
     if tape is not None:
         cell = out.cell
 
-        @functools.wraps(rule)
         def replay():
             if cell.grad is not None:
                 rule(cell.grad)
 
+        replay.__qualname__ = rule.__qualname__
+        replay.__wrapped__ = rule
         tape.record(replay)
     return out
 

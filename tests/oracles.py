@@ -111,8 +111,8 @@ def feature_calculated_oracle(w_a, w_b, f):
     return r
 
 
-def feature_learned_oracle(c_conv, j_conv, t_conv, t_bias, f):
-    """Channel squeeze, joint squeeze, then r[i, j] = W[i, j] v[j] + b[i]."""
+def feature_learned_oracle(c_conv, j_conv, t_conv, f):
+    """Channel squeeze, joint squeeze, then r[i, j] = W[i, j] v[j]."""
     c, frames, joints = f.shape
     v = np.zeros(frames)
     for t in range(frames):
@@ -124,7 +124,7 @@ def feature_learned_oracle(c_conv, j_conv, t_conv, t_bias, f):
     r = np.zeros((frames, frames))
     for i in range(frames):
         for j in range(frames):
-            r[i, j] = t_conv[i, j] * v[j] + t_bias[i, 0]
+            r[i, j] = t_conv[i, j] * v[j]
     return r
 
 

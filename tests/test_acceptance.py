@@ -137,8 +137,7 @@ def test_criterion_1_oracle_equivalence():
             got = feature_learned(head, Tensor(f)).data
             want = feature_learned_oracle(head.c_conv.value.data,
                                           head.j_conv.value.data,
-                                          head.t_conv.value.data,
-                                          head.t_bias.value.data, f)
+                                          head.t_conv.value.data, f)
             assert np.abs(got - want).max() <= 1e-10
 
         for i in range(50):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import tegraph.checkpoint
+from tegraph import init
 from tegraph.checkpoint import (
     load_checkpoint,
     network_from_checkpoint,
@@ -14,15 +15,15 @@ from tegraph.checkpoint import (
 )
 from tegraph.errors import ConfigError, DataError
 from tegraph.model import LayerSpec, ModelConfig, Network
-from tegraph.tensor import Tape
+from tegraph.tensor import Parameter, Tape
 from tegraph.tensorio import write_tensor
-from tegraph.training import TrainConfig, train
+from tegraph.training import TrainConfig, predict_logits, train
 
 
-def make_network(seed=0, mode="both"):
+def make_network(seed=0, mode="both", relevance="feature-calculated"):
     config = ModelConfig(layers=[LayerSpec(3, 4, 1, "tc", 3), LayerSpec(4, 4, 1, mode, 3)],
                          num_classes=2, num_joints=3, fixed_length=4, max_bodies=1,
-                         heads=2, graph="chain", seed=seed)
+                         heads=2, relevance=relevance, graph="chain", seed=seed)
     return Network(config)
 
 
@@ -71,6 +72,26 @@ def test_restored_network_reproduces_logits_bit_exactly(tmp_path):
     again.set_training(False)
     np.testing.assert_array_equal(net.forward_sample(x).data,
                                   again.forward_sample(x).data)
+
+
+def test_checkpoint_with_learned_head_row_biases_still_loads(tmp_path, monkeypatch):
+    """Files saved while feature-learned heads had a (T, 1) row bias `tbias`
+    carry one more param entry per head; loading ignores it."""
+    net = make_network(relevance="feature-learned")
+    rng = np.random.default_rng(3)
+    for p in net.parameters():  # nonzero output maps, so the heads reach the logits
+        p.assign(rng.normal(size=p.shape))
+    biases = [Parameter(init.zeros((4, 1)), f"{head.identifier}.tbias")
+              for head in net.layers[1].tgc.heads]
+    params = net.parameters()
+    with monkeypatch.context() as patch:
+        patch.setattr(net, "parameters", lambda: params + biases)
+        save_checkpoint(tmp_path / "model.tegc", net, epoch=1)
+    _, tensors = load_checkpoint(tmp_path / "model.tegc")
+    assert {(b.identifier, "param") for b in biases} <= set(tensors)
+    again, _, _ = network_from_checkpoint(tmp_path / "model.tegc")
+    x = rng.normal(size=(3, 4, 3, 1))
+    np.testing.assert_array_equal(predict_logits(net, [x]), predict_logits(again, [x]))
 
 
 def test_identical_states_serialize_to_identical_bytes(tmp_path):

@@ -313,23 +313,6 @@ def test_preprocess_capture_with_action_tag_zero_is_data_error(tmp_path, capsys)
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bodies", ["-1", "0"])
-def test_preprocess_body_count_below_one_is_config_error(tmp_path, capsys, bodies):
-    frames = []
-    for t in range(3):
-        a, b = np.zeros((25, 3)), np.ones((25, 3))
-        a[0, 0], b[0, 1] = t * 1.0, t * 0.5
-        frames.append([Body("a", a), Body("b", b)])
-    src = tmp_path / "captures"
-    src.mkdir()
-    (src / "S001C001P001R001A001.skeleton").write_text(format_skeleton(RawClip(frames)))
-    code = main(["preprocess", str(src), "--out", str(tmp_path / "data"),
-                 "--frames", "4", "--bodies", bodies])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert f"body count must be at least 1, got {bodies}" in err and "Traceback" not in err
-
-
 def test_preprocess_rejects_odd_input(tmp_path):
     stray = tmp_path / "notes.txt"
     stray.write_text("hello")
@@ -471,6 +454,8 @@ def test_preprocess_refused_sample_writes_nothing(tmp_path, dataset_dir, capsys,
     (["--motion-lo", "nan"], "motion range is empty: [nan, 2.0]"),
     (["--motion-lo", "5", "--motion-hi", "1"], "motion range is empty: [5.0, 1.0]"),
     (["--motion-hi", "nan"], "motion range is empty: [0.1, nan]"),
+    (["--bodies", "0"], "--bodies must be at least 1, got 0"),
+    (["--bodies", "-1"], "--bodies must be at least 1, got -1"),
 ])
 @pytest.mark.parametrize("kind", ["captures", "spec"])
 def test_preprocess_bad_flag_is_config_error_before_any_file_is_read(tmp_path, capsys, flags,

@@ -4,6 +4,8 @@ The spatial graph conv is the arithmetic `blocks._spatial_graph` hands the
 three spatial-stage records; those stages and the relevance heads are
 tested in test_fused_stages.py.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -180,7 +182,7 @@ RECORD_CASES = {
     "tgraph-dense": (backbone_config(2, fixed_length=8, max_bodies=1, replace_all=True), 44),
     "backbone-M2": (backbone_config(2, fixed_length=8, max_bodies=2), 87),
     "longrange": (ModelConfig(layers=LONGRANGE_LAYERS, num_classes=2, num_joints=5,
-                              fixed_length=8, heads=2, relevance="feature-learned"), 43),
+                              fixed_length=8, heads=2, relevance="feature-learned"), 39),
 }
 
 
@@ -205,6 +207,15 @@ def test_records_per_training_sample(name):
     assert names.count("spatial_temporal_stage") == tc_layers * config.max_bodies
     assert names.count("spatial_tgraph_stage") == tgraph_layers * calculated
     assert names.count("spatial_graph_bn_relu") == tgraph_layers * (not calculated)
+
+
+def test_readme_states_the_record_counts():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    count = {name: expected for name, (_, expected) in RECORD_CASES.items()}
+    sentence = (f"records {count['backbone']} ops for the backbone, {count['tgraph-dense']} "
+                f"with `replace_all`, {count['backbone-M2']} with two bodies, and "
+                f"{count['longrange']} for the criterion-5 long-range model")
+    assert sentence in " ".join(readme.split())
 
 
 def test_every_op_but_two_is_recorded_by_a_benchmarked_model():
