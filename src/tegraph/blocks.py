@@ -23,7 +23,8 @@ block reads the spatial output s directly (a tc-mode layer),
 layer's feature-calculated heads and their temporal graph mix read s (a
 tgraph or both layer), `spatial_tgraph_stage` records the spatial stage,
 the heads, the mix and the skip add s + mix(s) as one record, running
-`temporal._calculated_heads` and `temporal._graph_mix`.  Each record's
+`temporal._calculated_heads` on the layer's per-head projection lists
+`w_a`, `w_b` and `temporal._graph_mix` on its `output_maps`.  Each record's
 docstring says what its rule keeps; none keeps s.  Every fused bn -> ReLU
 backward is `batchnorm._relu_backward`.  Oracle tests reach the raw linear
 maps through `_spatial_graph`, `temporal._calculated_heads` and
@@ -325,8 +326,8 @@ def spatial_tgraph_stage(sg: SGBlock, mhc: MultiHeadTemporalConv,
         raise ShapeError(f"{mhc.identifier}: takes {mhc.channels} channels, "
                          f"{sg.identifier} makes {sg.out_channels}")
     s, spatial_backward = _spatial_stage(sg, f)
-    heads, heads_backward = _calculated_heads(s.shape, [h.w_a.value for h in mhc.heads],
-                                              [h.w_b.value for h in mhc.heads])
+    heads, heads_backward = _calculated_heads(s.shape, [w.value for w in mhc.w_a],
+                                              [w.value for w in mhc.w_b])
     mix, mix_backward = _graph_mix(s.shape, [w.value for w in mhc.output_maps])
     adjacencies = heads(s)
     out = mix(s, adjacencies)

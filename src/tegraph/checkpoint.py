@@ -77,7 +77,9 @@ def load_checkpoint(path) -> tuple[dict, dict[tuple[str, str], np.ndarray]]:
         if len(header) != 4:
             raise DataError(f"{path}: truncated checkpoint header")
         (length,) = struct.unpack("<I", header)
-        blob = stream.read(length)
+        # a length past the end of the file is refused before read() allocates it
+        left = os.fstat(stream.fileno()).st_size - len(header)
+        blob = stream.read(length) if length <= left else b""
         if len(blob) != length:
             raise DataError(f"{path}: truncated checkpoint manifest")
         try:

@@ -76,7 +76,8 @@ def preprocess_skeleton_dir(src_dir, fixed_length: int, split: str, lo: float, h
     out = []
     for path in paths:
         label = label_from_filename(path.name)
-        clip = parse_skeleton_file(_read_utf8(path), source_id=path.name)
+        clip = parse_skeleton_file(_read_utf8(path), expected_joints=graph.num_joints,
+                                   source_id=path.name)
         try:
             clip = filter_bodies(clip, lo, hi, max_bodies)
         except EmptyClipError as exc:

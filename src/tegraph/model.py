@@ -17,6 +17,9 @@ name-keyed parameter init this makes inserting the stage a bit-exact no-op
 at initialization.  A tc layer records SG and its tc as the one
 `spatial_temporal_stage` record, and SG with feature-calculated heads and
 the skip add is the one `spatial_tgraph_stage` record; neither keeps s.
+A layer's `tgc` is one `temporal.MultiHeadTemporalConv`: its `kind`
+chooses between that record and the feature-learned chain `sg_forward`,
+`build_heads`, `temporal_graph_conv` and the skip add.
 
 The network runs each body slot through shared weights: input batchnorm
 over (coordinate, joint) channel pairs, the layer stack, global average
@@ -219,7 +222,7 @@ class TGCNLayer:
         if self.tgc is None:
             t = spatial_temporal_stage(self.sg, self.tc, f)
         else:
-            if self.tgc.heads[0].kind == "feature-calculated":
+            if self.tgc.kind == "feature-calculated":
                 s, adjacencies = spatial_tgraph_stage(self.sg, self.tgc, f)
             else:
                 s = sg_forward(self.sg, f)

@@ -36,7 +36,8 @@ def dtype() -> np.dtype:
 
 @contextlib.contextmanager
 def scoped_mode(mode_name: str):
-    """Temporarily switch precision; used by tests and the gradcheck harness."""
+    """Temporarily switch precision; used by tests and the benchmark's replica
+    record count (`tegraph gradcheck` sets "verify" for the whole process)."""
     previous = mode()
     set_mode(mode_name)
     try:

@@ -3,7 +3,9 @@
 A head turns a feature map (C, T, J) into a raw T x T score matrix; row
 softmax turns scores into a row-stochastic temporal adjacency; the graph
 convolution mixes the feature map along time with each head's adjacency,
-applies a per-head 1x1 output map, and sums heads in fixed order.
+applies a per-head 1x1 output map, and sums heads in fixed order.  A
+temporal-graph layer, `MultiHeadTemporalConv`, has N heads of one kind and
+holds their parameters as lists indexed by head.
 
 Two head kinds:
 
@@ -26,10 +28,11 @@ temporal-graph stage an exact no-op inside its surrounding residual.
 The graph arithmetic lives here as closure helpers: `_calculated_heads`
 (every feature-calculated head of a layer, softmax included) and
 `_graph_mix` (the multi-head frame mixing).  Feature-learned heads are op
-chains (`build_heads`), and `temporal_graph_conv` records their layer's
-mix as one op.  Feature-calculated heads and their mix run inside the
-layer's one `blocks.spatial_tgraph_stage` record instead.  The heads hand
-their projection gradients to the cells as they are (see "Handover" in
+chains (`feature_learned` scores head n, `build_heads` normalizes every
+head), and `temporal_graph_conv` records their layer's mix as one op.
+Feature-calculated heads and their mix run inside the layer's one
+`blocks.spatial_tgraph_stage` record instead.  The heads hand their
+projection gradients to the cells as they are (see "Handover" in
 tensor.py); `temporal_graph_conv` copies its adjacency gradients and its
 input gradient, a transposed view.
 """
@@ -61,16 +64,28 @@ HEAD_KINDS = ("feature-calculated", "feature-learned")
 CHANNEL_REDUCTION = 4
 
 
-class RelevanceHead:
-    def __init__(self, kind: str, channels: int, frames: int, joints: int,
-                 identifier: str, seed: int = 0):
+class MultiHeadTemporalConv:
+    """N relevance heads of one kind plus zero-initialized output maps.
+
+    Head n's parameters are entry n of `w_a` and `w_b` (feature-calculated)
+    or of `c_conv`, `j_conv` and `t_conv` (feature-learned), and its output
+    map is `output_maps[n]`.
+    """
+
+    def __init__(self, num_heads: int, kind: str, channels: int, frames: int,
+                 joints: int, identifier: str, seed: int = 0):
+        if num_heads < 1:
+            raise ConfigError(f"{identifier}: need at least one head, got {num_heads}")
         if kind not in HEAD_KINDS:
             raise ConfigError(f"unknown relevance kind {kind!r}; choose from {HEAD_KINDS}")
+        self.identifier = identifier
         self.kind = kind
         self.channels = channels
-        self.frames = frames
-        self.joints = joints
-        self.identifier = identifier
+
+        def per_head(name: str, shape: tuple[int, int], fan_in: int) -> list[Parameter]:
+            ids = [f"{identifier}.head{n}.{name}" for n in range(num_heads)]
+            return [Parameter(init.uniform_fan_in(seed, i, shape, fan_in), i) for i in ids]
+
         if kind == "feature-calculated":
             if channels % CHANNEL_REDUCTION != 0:
                 raise ConfigError(
@@ -78,90 +93,60 @@ class RelevanceHead:
                     f"{CHANNEL_REDUCTION}; the projection width would not be integral"
                 )
             reduced = channels // CHANNEL_REDUCTION
-            self.w_a = Parameter(
-                init.uniform_fan_in(seed, f"{identifier}.wa", (reduced, channels), channels),
-                f"{identifier}.wa",
-            )
-            self.w_b = Parameter(
-                init.uniform_fan_in(seed, f"{identifier}.wb", (reduced, channels), channels),
-                f"{identifier}.wb",
-            )
+            self.w_a = per_head("wa", (reduced, channels), channels)
+            self.w_b = per_head("wb", (reduced, channels), channels)
         else:
-            self.c_conv = Parameter(
-                init.uniform_fan_in(seed, f"{identifier}.cconv", (1, channels), channels),
-                f"{identifier}.cconv",
-            )
-            self.j_conv = Parameter(
-                init.uniform_fan_in(seed, f"{identifier}.jconv", (joints, 1), joints),
-                f"{identifier}.jconv",
-            )
-            self.t_conv = Parameter(
-                init.uniform_fan_in(seed, f"{identifier}.tconv", (frames, frames), frames),
-                f"{identifier}.tconv",
-            )
-
-    def parameters(self) -> list[Parameter]:
-        if self.kind == "feature-calculated":
-            return [self.w_a, self.w_b]
-        return [self.c_conv, self.j_conv, self.t_conv]
-
-
-def feature_learned(head: RelevanceHead, f: Tensor) -> Tensor:
-    """Squeeze to one value per frame, then emit a learned position-anchored map."""
-    if f.data.ndim != 3:
-        raise ShapeError(f"{head.identifier}: expected (C, T, J), got {f.shape}")
-    c, t, j = f.shape
-    if c != head.channels:
-        raise ShapeError(f"{head.identifier}: got {c} channels, head built for {head.channels}")
-    if t != head.frames or j != head.joints:
-        raise ShapeError(
-            f"{head.identifier}: got T={t}, J={j}; this head is bound to "
-            f"T={head.frames}, J={head.joints}"
-        )
-    squeezed = reshape(matmul(head.c_conv.value, reshape(f, (c, t * j))), (t, j))
-    v = matmul(squeezed, head.j_conv.value)              # (T, 1)
-    v_rows = matmul(Tensor(np.ones((t, 1))), permute(v, (1, 0)))   # v[j] broadcast per row
-    return mul(head.t_conv.value, v_rows)
-
-
-class MultiHeadTemporalConv:
-    """N independent relevance heads plus zero-initialized output maps."""
-
-    def __init__(self, num_heads: int, kind: str, channels: int, frames: int,
-                 joints: int, identifier: str, seed: int = 0):
-        if num_heads < 1:
-            raise ConfigError(f"{identifier}: need at least one head, got {num_heads}")
-        self.identifier = identifier
-        self.channels = channels
-        self.heads = [
-            RelevanceHead(kind, channels, frames, joints, f"{identifier}.head{n}", seed)
-            for n in range(num_heads)
-        ]
+            self.c_conv = per_head("cconv", (1, channels), channels)
+            self.j_conv = per_head("jconv", (joints, 1), joints)
+            self.t_conv = per_head("tconv", (frames, frames), frames)
         self.output_maps = [
             Parameter(init.zeros((channels, channels)), f"{identifier}.wt{n}")
             for n in range(num_heads)
         ]
 
     def parameters(self) -> list[Parameter]:
-        out = []
-        for head in self.heads:
-            out.extend(head.parameters())
-        out.extend(self.output_maps)
-        return out
+        """Each head's parameters, head by head, then the output maps."""
+        if self.kind == "feature-calculated":
+            heads = zip(self.w_a, self.w_b)
+        else:
+            heads = zip(self.c_conv, self.j_conv, self.t_conv)
+        return [p for head in heads for p in head] + self.output_maps
+
+
+def feature_learned(mhc: MultiHeadTemporalConv, n: int, f: Tensor) -> Tensor:
+    """Head n's scores: squeeze to one value per frame, then emit a learned
+    position-anchored map."""
+    name = f"{mhc.identifier}.head{n}"
+    c_conv, j_conv, t_conv = mhc.c_conv[n].value, mhc.j_conv[n].value, mhc.t_conv[n].value
+    if f.data.ndim != 3:
+        raise ShapeError(f"{name}: expected (C, T, J), got {f.shape}")
+    c, t, j = f.shape
+    if c != c_conv.shape[1]:
+        raise ShapeError(f"{name}: got {c} channels, head built for {c_conv.shape[1]}")
+    if t != t_conv.shape[0] or j != j_conv.shape[0]:
+        raise ShapeError(
+            f"{name}: got T={t}, J={j}; this head is bound to "
+            f"T={t_conv.shape[0]}, J={j_conv.shape[0]}"
+        )
+    squeezed = reshape(matmul(c_conv, reshape(f, (c, t * j))), (t, j))
+    v = matmul(squeezed, j_conv)                         # (T, 1)
+    v_rows = matmul(Tensor(np.ones((t, 1))), permute(v, (1, 0)))   # v[j] broadcast per row
+    return mul(t_conv, v_rows)
 
 
 def build_heads(mhc: MultiHeadTemporalConv, f: Tensor) -> list[Tensor]:
-    """One row-stochastic temporal adjacency per feature-learned head, in head
-    order: the row softmax of each head's `feature_learned` scores.
+    """One row-stochastic temporal adjacency per head of a feature-learned
+    layer, in head order: the row softmax of `feature_learned(mhc, n, f)`.
 
-    Feature-calculated heads, the row softmax of (W_a s)^T (W_b s) contracted
-    over channel and joint, are no ops of their own: they run inside their
-    layer's one `blocks.spatial_tgraph_stage` record.
+    Feature-calculated heads, the row softmax of (W_a[n] s)^T (W_b[n] s)
+    contracted over channel and joint, are no ops of their own: they run
+    inside their layer's one `blocks.spatial_tgraph_stage` record, which
+    reads the layer's `w_a` and `w_b` lists.
     """
-    if mhc.heads[0].kind != "feature-learned":
+    if mhc.kind != "feature-learned":
         raise ConfigError(f"{mhc.identifier}: feature-calculated heads run only inside "
                           f"blocks.spatial_tgraph_stage")
-    return [softmax_rows(feature_learned(head, f)) for head in mhc.heads]
+    return [softmax_rows(feature_learned(mhc, n, f)) for n in range(len(mhc.output_maps))]
 
 
 def _calculated_heads(shape: tuple, w_a: Sequence[Tensor], w_b: Sequence[Tensor]):
@@ -280,9 +265,9 @@ def temporal_graph_conv(mhc: MultiHeadTemporalConv, f_s: Tensor,
     """
     if f_s.data.ndim != 3:
         raise ShapeError(f"{mhc.identifier}: expected (C, T, J), got {f_s.shape}")
-    if len(adjacencies) != len(mhc.heads):
+    if len(adjacencies) != len(mhc.output_maps):
         raise ShapeError(
-            f"{mhc.identifier}: {len(adjacencies)} adjacencies for {len(mhc.heads)} heads"
+            f"{mhc.identifier}: {len(adjacencies)} adjacencies for {len(mhc.output_maps)} heads"
         )
     c, t, _ = f_s.shape
     if c != mhc.channels:

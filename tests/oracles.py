@@ -216,8 +216,8 @@ def chain_spatial_tgraph_stage(sg, mhc, x):
     """The spatial, feature-calculated head, mix and skip-add chain a tgraph
     layer used to record, and its adjacencies."""
     s = chain_spatial_graph_bn_relu(sg, x)
-    adjacencies = chain_calculated_heads(s, [h.w_a.value for h in mhc.heads],
-                                         [h.w_b.value for h in mhc.heads])
+    adjacencies = chain_calculated_heads(s, [w.value for w in mhc.w_a],
+                                         [w.value for w in mhc.w_b])
     mixed = chain_temporal_graph_mix(s, adjacencies, [w.value for w in mhc.output_maps])
     return add(s, mixed), adjacencies
 

@@ -44,7 +44,6 @@ from tegraph.skeleton import (
 from tegraph.synth import synth_longrange_dataset
 from tegraph.temporal import (
     MultiHeadTemporalConv,
-    RelevanceHead,
     _calculated_heads,
     build_heads,
     feature_learned,
@@ -119,25 +118,25 @@ def test_criterion_1_oracle_equivalence():
 
         for i in range(50):
             t, j = int(rng.integers(1, 7)), int(rng.integers(1, 5))
-            head = RelevanceHead("feature-calculated", 4, t, j, f"a1.fc{i}")
-            randomize(head.parameters(), rng)
+            mhc = MultiHeadTemporalConv(1, "feature-calculated", 4, t, j, f"a1.fc{i}")
+            w_a, w_b = mhc.w_a[0], mhc.w_b[0]
+            randomize([w_a, w_b], rng)
             f = rng.normal(size=(4, t, j))
-            heads, _ = _calculated_heads(f.shape, [head.w_a.value], [head.w_b.value])
+            heads, _ = _calculated_heads(f.shape, [w_a.value], [w_b.value])
             got = heads(f)[0]
-            want = softmax_rows_oracle(feature_calculated_oracle(head.w_a.value.data,
-                                                                 head.w_b.value.data, f))
+            want = softmax_rows_oracle(feature_calculated_oracle(w_a.value.data,
+                                                                 w_b.value.data, f))
             assert np.abs(got - want).max() <= 1e-10
 
         for i in range(50):
             t, j, c = (int(rng.integers(1, 7)), int(rng.integers(1, 5)),
                        int(rng.integers(1, 5)))
-            head = RelevanceHead("feature-learned", c, t, j, f"a1.fl{i}")
-            randomize(head.parameters(), rng)
+            mhc = MultiHeadTemporalConv(1, "feature-learned", c, t, j, f"a1.fl{i}")
+            convs = [mhc.c_conv[0], mhc.j_conv[0], mhc.t_conv[0]]
+            randomize(convs, rng)
             f = rng.normal(size=(c, t, j))
-            got = feature_learned(head, Tensor(f)).data
-            want = feature_learned_oracle(head.c_conv.value.data,
-                                          head.j_conv.value.data,
-                                          head.t_conv.value.data, f)
+            got = feature_learned(mhc, 0, Tensor(f)).data
+            want = feature_learned_oracle(*[w.value.data for w in convs], f)
             assert np.abs(got - want).max() <= 1e-10
 
         for i in range(50):
@@ -203,14 +202,13 @@ def test_criterion_3_structural_invariants():
         # temporal adjacency rows sum to one
         for kind in ("feature-calculated", "feature-learned"):
             mhc = MultiHeadTemporalConv(3, kind, 4, 5, 3, f"a3.{kind}")
-            for head in mhc.heads:
-                randomize(head.parameters(), rng)
+            randomize(mhc.parameters()[:-len(mhc.output_maps)], rng)  # head by head
             f = rng.normal(size=(4, 5, 3))
             if kind == "feature-learned":
                 adjacencies = [adj.data for adj in build_heads(mhc, Tensor(f))]
             else:
-                adjacencies = _calculated_heads(f.shape, [h.w_a.value for h in mhc.heads],
-                                                [h.w_b.value for h in mhc.heads])[0](f)
+                adjacencies = _calculated_heads(f.shape, [w.value for w in mhc.w_a],
+                                                [w.value for w in mhc.w_b])[0](f)
             for adj in adjacencies:
                 assert np.abs(adj.sum(axis=1) - 1.0).max() <= 1e-6
 

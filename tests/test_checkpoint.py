@@ -1,6 +1,7 @@
 """Checkpoint round trips and corrupted-file behavior."""
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,8 +82,9 @@ def test_checkpoint_with_learned_head_row_biases_still_loads(tmp_path, monkeypat
     rng = np.random.default_rng(3)
     for p in net.parameters():  # nonzero output maps, so the heads reach the logits
         p.assign(rng.normal(size=p.shape))
-    biases = [Parameter(init.zeros((4, 1)), f"{head.identifier}.tbias")
-              for head in net.layers[1].tgc.heads]
+    tgc = net.layers[1].tgc
+    biases = [Parameter(init.zeros((4, 1)), f"{tgc.identifier}.head{n}.tbias")
+              for n in range(len(tgc.output_maps))]
     params = net.parameters()
     with monkeypatch.context() as patch:
         patch.setattr(net, "parameters", lambda: params + biases)
@@ -148,6 +150,21 @@ def test_load_rejects_truncations(tmp_path):
     short_tensors.write_bytes(payload[:-17])
     with pytest.raises(DataError):
         load_checkpoint(short_tensors)
+
+
+def test_load_rejects_a_manifest_length_past_the_end_before_reading(tmp_path):
+    """A header declaring a ~4 GiB manifest in a 6-byte file is refused
+    without read() allocating the declared length."""
+    path = tmp_path / "huge_manifest.tegc"
+    path.write_bytes(struct.pack("<I", 0xFFFFFFF0) + b"{}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="truncated checkpoint manifest"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_load_rejects_garbage_manifest(tmp_path):

@@ -279,11 +279,11 @@ def test_preprocess_synthetic_spec(dataset_dir):
             assert (dataset_dir / rel).exists()
 
 
-def capture_text(delta):
-    """Two-frame single-body 25-joint capture; joint 0 moves delta on x."""
+def capture_text(delta, num_joints=25):
+    """Two-frame single-body capture; joint 0 moves delta on x."""
     frames = []
     for t in range(2):
-        joints = np.zeros((25, 3))
+        joints = np.zeros((num_joints, 3))
         joints[0, 0] = t * delta
         frames.append([Body("7205759403793", joints)])
     return format_skeleton(RawClip(frames))
@@ -310,6 +310,18 @@ def test_preprocess_capture_with_action_tag_zero_is_data_error(tmp_path, capsys)
     assert main(["preprocess", str(src), "--out", str(out), "--frames", "4"]) == 3
     err = capsys.readouterr().err
     assert "S001C001P001R001A000.skeleton: no A001-A999 action tag" in err
+    assert not out.exists()
+
+
+def test_preprocess_names_the_capture_whose_joint_count_is_not_the_rig_s(tmp_path, capsys):
+    src = tmp_path / "captures"
+    src.mkdir()
+    (src / "S001C001P001R001A001.skeleton").write_text(capture_text(2.0, num_joints=20))
+    out = tmp_path / "data"
+    assert main(["preprocess", str(src), "--out", str(out), "--frames", "4",
+                 "--motion-hi", "1000"]) == 3
+    err = capsys.readouterr().err
+    assert "S001C001P001R001A001.skeleton: frame 0 body 0 has 20 joints, expected 25" in err
     assert not out.exists()
 
 

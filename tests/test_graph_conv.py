@@ -151,7 +151,7 @@ def test_tgc_stage_records_one_graph_conv():
     rng = np.random.default_rng(4)
     for w_t in mhc.output_maps:
         w_t.assign(rng.normal(size=w_t.shape))
-    adjacencies = [Tensor(rng.uniform(size=(5, 5))) for _ in mhc.heads]
+    adjacencies = [Tensor(rng.uniform(size=(5, 5))) for _ in mhc.output_maps]
     with Tape() as tape:
         out = temporal_graph_conv(mhc, Tensor(rng.normal(size=(4, 5, 2))), adjacencies)
     assert op_names(tape) == ["temporal_graph_conv"]

@@ -210,8 +210,8 @@ def test_joint_permutation_with_learned_heads_needs_permuted_anchors():
             dense = 0.3 * rng.normal(size=wa.shape)
             wa.assign(dense)
             wb.assign(dense)
-        for ha, hb in zip(la.tgc.heads, lb.tgc.heads):
-            hb.j_conv.assign(p @ ha.j_conv.value.data)
+        for ja, jb in zip(la.tgc.j_conv, lb.tgc.j_conv):
+            jb.assign(p @ ja.value.data)
     net_a.set_training(False)
     net_b.set_training(False)
     x = sample(7)
@@ -229,6 +229,29 @@ def test_collector_reports_adjacency_per_head():
     for _, adj in collector:
         assert adj.shape == (6, 6)
         np.testing.assert_allclose(adj.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+
+
+SG_PARAMETERS = ["sg.w0", "sg.w1", "sg.w2", "sg.mask0", "sg.mask1", "sg.mask2",
+                    "sg.bn.gamma", "sg.bn.beta"]
+TC_PARAMETERS = ["tc.kernel", "tc.bn.gamma", "tc.bn.beta"]
+
+
+@pytest.mark.parametrize("relevance,head_parameters", [
+    ("feature-calculated", ["wa", "wb"]),
+    ("feature-learned", ["cconv", "jconv", "tconv"]),
+])
+def test_parameter_identifiers_keep_their_order(relevance, head_parameters):
+    """The order of Network.parameters() is the order of a checkpoint's
+    entries, so it fixes the checkpoint's bytes."""
+    net = Network(small_config(["tc", "both"], heads=2, relevance=relevance))
+    heads = [f"layer2.tgc.head{n}.{name}" for n in range(2) for name in head_parameters]
+    assert [p.identifier for p in net.parameters()] == [
+        "input.bn.gamma", "input.bn.beta",
+        *(f"layer1.{name}" for name in SG_PARAMETERS + TC_PARAMETERS), "layer1.res.weight",
+        *(f"layer2.{name}" for name in SG_PARAMETERS), *heads,
+        "layer2.tgc.wt0", "layer2.tgc.wt1", *(f"layer2.{name}" for name in TC_PARAMETERS),
+        "fc.weight", "fc.bias",
+    ]
 
 
 def test_loss_is_negative_log_probability():

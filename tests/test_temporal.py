@@ -13,7 +13,6 @@ from oracles import (
 from tegraph.errors import ConfigError, ShapeError
 from tegraph.temporal import (
     MultiHeadTemporalConv,
-    RelevanceHead,
     _calculated_heads,
     build_heads,
     feature_learned,
@@ -23,22 +22,24 @@ from tegraph.tensor import Tensor, softmax_rows
 
 
 def calc_head(channels=4, frames=5, joints=3, seed=0, name="h"):
-    return RelevanceHead("feature-calculated", channels, frames, joints, name, seed)
+    """A one-head feature-calculated layer."""
+    return MultiHeadTemporalConv(1, "feature-calculated", channels, frames, joints, name, seed)
 
 
 def learned_head(channels=4, frames=5, joints=3, seed=0, name="h"):
-    return RelevanceHead("feature-learned", channels, frames, joints, name, seed)
+    """A one-head feature-learned layer."""
+    return MultiHeadTemporalConv(1, "feature-learned", channels, frames, joints, name, seed)
 
 
-def calc_adjacencies(heads, f):
-    """The row-stochastic adjacencies feature-calculated `heads` build on f."""
-    adjacencies, _ = _calculated_heads(f.shape, [h.w_a.value for h in heads],
-                                       [h.w_b.value for h in heads])
+def calc_adjacencies(mhc, f):
+    """The row-stochastic adjacencies mhc's feature-calculated heads build on f."""
+    adjacencies, _ = _calculated_heads(f.shape, [w.value for w in mhc.w_a],
+                                       [w.value for w in mhc.w_b])
     return adjacencies(f)
 
 
 def calc_adjacency(head, f):
-    return calc_adjacencies([head], f)[0]
+    return calc_adjacencies(head, f)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -54,8 +55,8 @@ def test_feature_calculated_matches_scalar_oracle():
         head = calc_head(channels, frames, joints, seed=trial)
         f = rng.normal(size=(channels, frames, joints))
         got = calc_adjacency(head, f)
-        expected = softmax_rows_oracle(feature_calculated_oracle(head.w_a.value.data,
-                                                                 head.w_b.value.data, f))
+        expected = softmax_rows_oracle(feature_calculated_oracle(head.w_a[0].value.data,
+                                                                 head.w_b[0].value.data, f))
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
@@ -67,10 +68,10 @@ def test_feature_learned_matches_scalar_oracle():
         joints = int(rng.integers(1, 5))
         head = learned_head(channels, frames, joints, seed=trial)
         f = rng.normal(size=(channels, frames, joints))
-        got = feature_learned(head, Tensor(f)).data
-        expected = feature_learned_oracle(head.c_conv.value.data,
-                                          head.j_conv.value.data,
-                                          head.t_conv.value.data, f)
+        got = feature_learned(head, 0, Tensor(f)).data
+        expected = feature_learned_oracle(head.c_conv[0].value.data,
+                                          head.j_conv[0].value.data,
+                                          head.t_conv[0].value.data, f)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
 
 
@@ -98,14 +99,14 @@ def test_learned_scores_are_anchored_to_absolute_positions():
     head = learned_head(frames=6)
     f = rng.normal(size=(4, 6, 3))
     perm = np.roll(np.arange(6), 1)
-    r = feature_learned(head, Tensor(f)).data
-    r_perm = feature_learned(head, Tensor(f[:, perm, :])).data
+    r = feature_learned(head, 0, Tensor(f)).data
+    r_perm = feature_learned(head, 0, Tensor(f[:, perm, :])).data
     assert np.abs(r_perm - r[np.ix_(perm, perm)]).max() > 1e-6
 
 
 def test_head_validation():
     with pytest.raises(ConfigError, match="kind"):
-        RelevanceHead("nope", 4, 5, 3, "h")
+        MultiHeadTemporalConv(1, "nope", 4, 5, 3, "h")
     with pytest.raises(ConfigError, match="divisible"):
         calc_head(channels=6)
     mhc = MultiHeadTemporalConv(1, "feature-learned", 4, 5, 3, "m")
@@ -116,7 +117,7 @@ def test_head_validation():
         build_heads(calculated, Tensor(np.zeros((4, 5, 3))))
     bound = learned_head(frames=5, joints=3)
     with pytest.raises(ShapeError, match="bound"):
-        feature_learned(bound, Tensor(np.zeros((4, 6, 3))))
+        feature_learned(bound, 0, Tensor(np.zeros((4, 6, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -163,9 +164,9 @@ def make_mhc(heads=2, kind="feature-calculated", channels=4, frames=5, joints=3,
 
 def built_adjacencies(mhc, f):
     """mhc's adjacencies on the feature map f, as Tensors."""
-    if mhc.heads[0].kind == "feature-learned":
+    if mhc.kind == "feature-learned":
         return build_heads(mhc, Tensor(f))
-    return [Tensor(a) for a in calc_adjacencies(mhc.heads, f)]
+    return [Tensor(a) for a in calc_adjacencies(mhc, f)]
 
 
 def test_output_maps_start_at_zero_so_the_stage_is_silent():
@@ -268,5 +269,6 @@ def test_head_parameters_are_registered():
     assert len(calc.parameters()) == 2 * 2 + 2  # wa/wb per head + output maps
     learned = make_mhc(heads=2, kind="feature-learned")
     assert len(learned.parameters()) == 2 * 3 + 2  # c/j/t convs per head + output maps
-    head = learned.heads[0]
-    assert head.parameters() == [head.c_conv, head.j_conv, head.t_conv]
+    assert learned.parameters() == [learned.c_conv[0], learned.j_conv[0], learned.t_conv[0],
+                                    learned.c_conv[1], learned.j_conv[1], learned.t_conv[1],
+                                    *learned.output_maps]
